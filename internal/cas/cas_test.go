@@ -1,14 +1,19 @@
 package cas
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
+
+	"momosyn/internal/durable"
+	"momosyn/internal/durable/chaosfs"
 )
 
 func TestKeyShape(t *testing.T) {
@@ -338,5 +343,62 @@ func TestStoreConcurrentPublish(t *testing.T) {
 	}
 	if _, ok := a.Get(key); !ok {
 		t.Fatal("entry missing after concurrent publish")
+	}
+}
+
+// TestStorePutFaultSweep injects torn, ENOSPC and crash faults at each
+// operation of Put's publish (write, link, remove, syncdir). Afterwards —
+// with the filesystem revived, as after a restart — Get returns either a
+// miss or the exact entry, never bad bytes; a Put that reported success is
+// readable; and a later Put of the same key succeeds.
+func TestStorePutFaultSweep(t *testing.T) {
+	key := Key([]byte("spec"), []byte("opts"))
+	want := mustEncode(t, testEntry(key, "payload"))
+	faults := []struct {
+		name string
+		rule chaosfs.Rule
+	}{
+		{"torn", chaosfs.Rule{Kind: chaosfs.KindTorn}},
+		{"enospc", chaosfs.Rule{Kind: chaosfs.KindErr, Err: syscall.ENOSPC}},
+		{"crash", chaosfs.Rule{Kind: chaosfs.KindCrash, KeepBytes: -1}},
+	}
+	for _, op := range []chaosfs.Op{chaosfs.OpWrite, chaosfs.OpLink, chaosfs.OpRemove, chaosfs.OpSyncDir} {
+		for _, f := range faults {
+			t.Run(string(op)+"/"+f.name, func(t *testing.T) {
+				cfs := chaosfs.New(durable.OSFS{})
+				s, err := OpenFS(cfs, t.TempDir(), 0, Metrics{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rule := f.rule
+				rule.Op = op
+				cfs.Inject(rule)
+				perr := s.Put(testEntry(key, "payload"))
+				faulted := false
+				for _, rec := range cfs.Journal() {
+					faulted = faulted || rec.Faulted
+				}
+				if !faulted {
+					t.Fatalf("the %s fault never fired; journal %v", op, cfs.Journal())
+				}
+				if (op == chaosfs.OpWrite || op == chaosfs.OpLink) && perr == nil {
+					t.Fatal("Put reported success although its entry was never linked")
+				}
+				cfs.Revive()
+				e, ok := s.Get(key)
+				if ok && !bytes.Equal(mustEncode(t, e), want) {
+					t.Fatalf("Get served bad bytes after a %s fault: %s", op, mustEncode(t, e))
+				}
+				if perr == nil && !ok {
+					t.Fatal("Put reported success but Get misses")
+				}
+				if err := s.Put(testEntry(key, "payload")); err != nil {
+					t.Fatalf("Put after the fault: %v", err)
+				}
+				if e, ok := s.Get(key); !ok || !bytes.Equal(mustEncode(t, e), want) {
+					t.Fatalf("Get after re-Put = %v, %v; want the exact entry", e, ok)
+				}
+			})
+		}
 	}
 }

@@ -10,6 +10,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"momosyn/internal/durable"
 )
 
 // SchemaVersion is the on-disk entry schema. Entries written under a
@@ -66,6 +68,7 @@ func inc(c Counter) {
 // directory. Multiple Stores (across processes and fleet nodes) may
 // share the directory concurrently.
 type Store struct {
+	fs       durable.FS
 	dir      string
 	maxBytes int64
 	metrics  Metrics
@@ -76,16 +79,22 @@ type Store struct {
 	evictMu sync.Mutex
 }
 
-// Open creates or reopens a store rooted at dir. maxBytes caps the total
-// size of entry files; 0 means unbounded.
+// Open creates or reopens a store rooted at dir on the real filesystem;
+// see OpenFS.
 func Open(dir string, maxBytes int64, metrics Metrics) (*Store, error) {
+	return OpenFS(durable.OSFS{}, dir, maxBytes, metrics)
+}
+
+// OpenFS creates or reopens a store rooted at dir, writing through fsys.
+// maxBytes caps the total size of entry files; 0 means unbounded.
+func OpenFS(fsys durable.FS, dir string, maxBytes int64, metrics Metrics) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("cas: empty store directory")
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("cas: %w", err)
 	}
-	return &Store{dir: dir, maxBytes: maxBytes, metrics: metrics}, nil
+	return &Store{fs: fsys, dir: dir, maxBytes: maxBytes, metrics: metrics}, nil
 }
 
 // Dir returns the store's root directory.
@@ -105,7 +114,7 @@ func (s *Store) Get(key string) (*Entry, bool) {
 		return nil, false
 	}
 	path := s.entryPath(key)
-	data, err := os.ReadFile(path)
+	data, err := s.fs.ReadFile(path)
 	if err != nil {
 		inc(s.metrics.Misses)
 		return nil, false
@@ -152,8 +161,8 @@ func decodeEntry(data []byte, key string) (*Entry, error) {
 // evictCorrupt removes a damaged entry and its sidecar. Best-effort: a
 // concurrent fleet node may have removed them already.
 func (s *Store) evictCorrupt(path string) {
-	os.Remove(path)
-	os.Remove(atimePath(path))
+	s.fs.Remove(path)
+	s.fs.Remove(atimePath(path))
 }
 
 func atimePath(entryPath string) string {
@@ -172,13 +181,11 @@ func (s *Store) touch(key string) {
 	}
 }
 
-// Put publishes an entry. The write is crash-safe and race-free across
-// fleet nodes: the bytes are written to a private temp file and fsynced,
-// then linked to the final name (link never exposes partial content, and
-// a concurrent publish of the same key simply loses the link race —
-// content under a key is deterministic, so the loser's bytes are
-// identical and discarded), and finally the bucket directory is fsynced.
-// A successful Put then enforces the size cap.
+// Put publishes an entry with durable.Publish, so the write is crash-safe
+// and race-free across fleet nodes: a concurrent publish of the same key
+// simply loses the link race — content under a key is deterministic, so
+// the loser's bytes are identical and discarded. A successful Put then
+// enforces the size cap.
 func (s *Store) Put(e *Entry) error {
 	if e.Schema == 0 {
 		e.Schema = SchemaVersion
@@ -195,49 +202,15 @@ func (s *Store) Put(e *Entry) error {
 		return fmt.Errorf("cas: refusing to publish invalid entry: %w", err)
 	}
 	path := s.entryPath(e.Key)
-	bucket := filepath.Dir(path)
-	if err := os.MkdirAll(bucket, 0o755); err != nil {
+	if err := s.fs.MkdirAll(filepath.Dir(path)); err != nil {
 		return fmt.Errorf("cas: %w", err)
 	}
-	tmp, err := os.CreateTemp(bucket, e.Key+".tmp*")
-	if err != nil {
+	if err := durable.Publish(s.fs, path, data); err != nil {
 		return fmt.Errorf("cas: %w", err)
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful publish+remove
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("cas: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("cas: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("cas: %w", err)
-	}
-	if err := os.Link(tmp.Name(), path); err != nil && !errors.Is(err, os.ErrExist) {
-		return fmt.Errorf("cas: %w", err)
-	}
-	os.Remove(tmp.Name())
 	s.touch(e.Key)
-	if err := syncDir(bucket); err != nil {
-		return fmt.Errorf("cas: %w", err)
-	}
 	s.evict()
 	return nil
-}
-
-// syncDir fsyncs a directory, making entry publications within it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil {
-		d.Close()
-		return err
-	}
-	return d.Close()
 }
 
 type entryInfo struct {
@@ -267,10 +240,10 @@ func (s *Store) evict() {
 		if total <= s.maxBytes {
 			break
 		}
-		if err := os.Remove(e.path); err == nil {
+		if err := s.fs.Remove(e.path); err == nil {
 			inc(s.metrics.Evictions)
 		}
-		os.Remove(atimePath(e.path))
+		s.fs.Remove(atimePath(e.path))
 		total -= e.size
 	}
 }

@@ -10,7 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"momosyn/internal/fleet/chaosfs"
+	"momosyn/internal/durable"
+	"momosyn/internal/durable/chaosfs"
 	"momosyn/internal/ga"
 	"momosyn/internal/obs"
 	"momosyn/internal/runctl"
@@ -21,7 +22,7 @@ import (
 func chaosStore(t *testing.T, node string) (*Store, *chaosfs.FS, string, *time.Time) {
 	t.Helper()
 	now := time.Now()
-	cfs := chaosfs.New(OSFS{})
+	cfs := chaosfs.New(durable.OSFS{})
 	s, err := Open(Config{
 		Dir: t.TempDir(), Node: node, TTL: 250 * time.Millisecond,
 		FS: cfs, Registry: obs.NewRegistry(),
@@ -368,9 +369,10 @@ func TestChaosCheckpointSaveFaults(t *testing.T) {
 }
 
 // TestAtomicWriteSyncsDirAfterRename is the satellite-1 regression: both
-// atomic writers (fleet.WriteFileAtomic and runctl.SaveFS) must fsync the
-// temp file, rename it into place, and then fsync the parent directory —
-// in that order — so a crash right after the rename cannot lose the entry.
+// atomic writers (lease writes, which go through durable.WriteFileAtomic,
+// and runctl.SaveFS) must fsync the temp file, rename it into place, and
+// then fsync the parent directory — in that order — so a crash right after
+// the rename cannot lose the entry.
 func TestAtomicWriteSyncsDirAfterRename(t *testing.T) {
 	order := func(t *testing.T, cfs *chaosfs.FS, final *regexp.Regexp) {
 		t.Helper()
@@ -407,7 +409,7 @@ func TestAtomicWriteSyncsDirAfterRename(t *testing.T) {
 	})
 
 	t.Run("runctl.SaveFS", func(t *testing.T) {
-		cfs := chaosfs.New(OSFS{})
+		cfs := chaosfs.New(durable.OSFS{})
 		dir := t.TempDir()
 		if err := runctl.SaveFS(cfs, dir+"/job.e00000001.ckpt", goodCkpt(1)); err != nil {
 			t.Fatalf("SaveFS: %v", err)

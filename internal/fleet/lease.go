@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io/fs"
 	"time"
+
+	"momosyn/internal/durable"
 )
 
 // Lease protocol. A job's lease files live in its job directory and are
@@ -235,7 +237,7 @@ func (l *Lease) write(rec leaseRecord) error {
 	if err != nil {
 		return err
 	}
-	return WriteFileAtomic(l.store.fs, l.store.leasePath(l.Job, l.Epoch), data)
+	return durable.WriteFileAtomic(l.store.fs, l.store.leasePath(l.Job, l.Epoch), data)
 }
 
 // Deadline returns the lease's current deadline.

@@ -1,3 +1,23 @@
+// Package fleet is the shared-filesystem work-distribution layer behind
+// multi-node mmserved: any number of nodes observe the same fleet
+// directory, claim jobs by atomically creating epoch-numbered lease files,
+// renew their claims with heartbeats, and recover jobs whose holder died,
+// hung or was partitioned by claiming the next epoch once the lease
+// deadline passes.
+//
+// Safety rests on two primitives:
+//
+//   - Claims are O_CREATE|O_EXCL creations of epoch-named lease files
+//     (lease.e<epoch>), so for any given epoch number exactly one node in
+//     the fleet can ever win the claim, no matter how many race for it.
+//   - Every piece of job state a lease holder writes (manifest, checkpoint,
+//     result) carries its lease epoch in the file name. A resurrected
+//     stale node can only ever write files named with its old epoch, which
+//     are shadowed by the reclaimed epoch's files and ignored by every
+//     reader — a stale node can never clobber a reclaimed job's state.
+//
+// All file I/O goes through a durable.FS. The protocol, its failure matrix
+// and the operational runbook are documented in docs/FLEET.md.
 package fleet
 
 import (
@@ -12,6 +32,7 @@ import (
 	"strings"
 	"time"
 
+	"momosyn/internal/durable"
 	"momosyn/internal/obs"
 )
 
@@ -76,9 +97,9 @@ type Config struct {
 	// TTL is the lease time-to-live: a lease not renewed within TTL of its
 	// last renewal is claimable by any node (default 5s).
 	TTL time.Duration
-	// FS is the filesystem the store runs on (default OSFS; tests inject
-	// chaosfs).
-	FS FS
+	// FS is the filesystem the store runs on (default durable.OSFS; tests
+	// inject chaosfs).
+	FS durable.FS
 	// Registry receives the fleet counters (created when nil).
 	Registry *obs.Registry
 	// Now is the clock (default time.Now; test seam).
@@ -90,7 +111,7 @@ type Store struct {
 	dir  string
 	node string
 	ttl  time.Duration
-	fs   FS
+	fs   durable.FS
 	reg  *obs.Registry
 	now  func() time.Time
 
@@ -128,7 +149,7 @@ func Open(cfg Config) (*Store, error) {
 		cfg.TTL = 5 * time.Second
 	}
 	if cfg.FS == nil {
-		cfg.FS = OSFS{}
+		cfg.FS = durable.OSFS{}
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.NewRegistry()
@@ -166,8 +187,8 @@ func (s *Store) TTL() time.Duration { return s.ttl }
 // Dir returns the fleet directory.
 func (s *Store) Dir() string { return s.dir }
 
-func (s *Store) jobsDir() string         { return filepath.Join(s.dir, "jobs") }
-func (s *Store) nodesDir() string        { return filepath.Join(s.dir, "nodes") }
+func (s *Store) jobsDir() string          { return filepath.Join(s.dir, "jobs") }
+func (s *Store) nodesDir() string         { return filepath.Join(s.dir, "nodes") }
 func (s *Store) jobDir(job string) string { return filepath.Join(s.jobsDir(), job) }
 
 func (s *Store) leasePath(job string, epoch int) string {
@@ -413,7 +434,7 @@ func (s *Store) LatestPath(job string, kind Kind, valid func(path string) error)
 // reclaimed job's state, because its epoch names different files.
 func (l *Lease) Write(kind Kind, data []byte) error {
 	return l.Fenced(func() error {
-		return WriteFileAtomic(l.store.fs, l.store.StatePath(l.Job, kind, l.Epoch), data)
+		return durable.WriteFileAtomic(l.store.fs, l.store.StatePath(l.Job, kind, l.Epoch), data)
 	})
 }
 
@@ -484,7 +505,7 @@ func (s *Store) HeartbeatNode() error {
 	if err != nil {
 		return fmt.Errorf("fleet: node heartbeat: %w", err)
 	}
-	if err := WriteFileAtomic(s.fs, filepath.Join(s.nodesDir(), s.node+".json"), data); err != nil {
+	if err := durable.WriteFileAtomic(s.fs, filepath.Join(s.nodesDir(), s.node+".json"), data); err != nil {
 		return fmt.Errorf("fleet: node heartbeat: %w", err)
 	}
 	return nil

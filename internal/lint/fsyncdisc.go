@@ -2,161 +2,47 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
-	"go/types"
-	"strings"
+	"regexp"
 )
 
-// Fsyncdisc enforces the atomic-rename durability discipline.
+// Fsyncdisc keeps every rename and link inside internal/durable.
 //
-// Checkpoints, job manifests and lease files are all written with the same
-// crash pattern (established in the serve/fleet persistence work): write a
-// temp file, fsync the file, rename it over the destination, then fsync
-// the destination's parent directory. Dropping any step silently weakens
-// the guarantee — without the file fsync the rename can become durable
-// while the data is not (a zero-length or torn file after a crash), and
-// without the directory fsync the rename itself can be lost (the old file
-// resurrects). This pass checks every function containing a rename call
-// (os.Rename, or any two-argument callee named Rename) for both pieces of
-// evidence in the correct order:
-//
-//   - file-sync evidence before the rename: a .Sync() call, or a syncing
-//     write helper (a callee named WriteFile or CreateExclusive that is
-//     not os.WriteFile — os.WriteFile does not fsync and is called out
-//     specifically)
-//   - directory-sync evidence after the rename: a callee whose name
-//     mentions both sync and dir (syncDir, SyncDir, ...)
-//
-// Pure forwarding wrappers are exempt: a function whose rename call is a
-// returned expression forwarding two adjacent parameters verbatim (the FS
-// abstraction wrappers — fleet.OSFS.Rename and friends) carries no
-// durability responsibility of its own; its callers are checked instead.
-// Any new direct os.Rename outside a blessed helper therefore surfaces
-// here. A reviewed exception is suppressed with
-// //mmlint:ignore fsyncdisc <reason>.
+// A crash-safe write needs four steps in order: write a temp file, fsync
+// it, rename or link it into place, fsync the parent directory. Dropping
+// any step silently weakens the guarantee, so the steps live in one place —
+// durable.WriteFileAtomic and durable.Publish, whose journal tests prove
+// the order. The rule is therefore one line: outside internal/durable/...,
+// a call to os.Rename or os.Link, or to any two-argument callee named
+// Rename or Link (the durable.FS methods and their like), is a finding.
+// A reviewed exception is suppressed with //mmlint:ignore fsyncdisc <reason>.
 var Fsyncdisc = &Analyzer{
 	Name: "fsyncdisc",
-	Doc: "atomic-rename writers must fsync the file before the rename and " +
-		"the destination's parent directory after it; forwarding wrappers " +
-		"(return fsys.Rename(from, to)) are exempt",
+	Doc: "only internal/durable may rename or link files; everything else " +
+		"writes through durable.WriteFileAtomic or durable.Publish",
 	Run: runFsyncdisc,
 }
 
+// durablePkg matches the packages allowed to rename and link.
+var durablePkg = regexp.MustCompile(`(^|/)internal/durable($|/)`)
+
 func runFsyncdisc(pass *Pass) error {
+	if durablePkg.MatchString(pass.Pkg.Path()) {
+		return nil
+	}
 	for _, f := range pass.Files {
-		for _, d := range f.Decls {
-			if fn, ok := d.(*ast.FuncDecl); ok && fn.Body != nil {
-				checkRenameDiscipline(pass, fn)
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) != 2 {
+				return true
 			}
-		}
+			if name := calleeName(call); name == "Rename" || name == "Link" {
+				pass.Reportf(call.Pos(),
+					"%s outside internal/durable; use durable.WriteFileAtomic or durable.Publish, which fsync the file before and the directory after", name)
+			}
+			return true
+		})
 	}
 	return nil
-}
-
-// checkRenameDiscipline inspects one function: every rename call in it
-// must be bracketed by file-sync evidence (before) and directory-sync
-// evidence (after), in source order.
-func checkRenameDiscipline(pass *Pass, fn *ast.FuncDecl) {
-	// Calls whose value is returned directly, for the forwarding exemption.
-	returnCalls := make(map[*ast.CallExpr]bool)
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		if ret, ok := n.(*ast.ReturnStmt); ok && len(ret.Results) == 1 {
-			if c, ok := ret.Results[0].(*ast.CallExpr); ok {
-				returnCalls[c] = true
-			}
-		}
-		return true
-	})
-
-	var renames []*ast.CallExpr
-	var fileSyncs, dirSyncs, osWrites []token.Pos
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		switch {
-		case isRenameCall(call):
-			renames = append(renames, call)
-		case isDirSyncCall(call):
-			dirSyncs = append(dirSyncs, call.Pos())
-		case isPkgFunc(pass.Info, call, "os", "WriteFile"):
-			osWrites = append(osWrites, call.Pos())
-		case isFileSyncCall(call):
-			fileSyncs = append(fileSyncs, call.Pos())
-		}
-		return true
-	})
-
-	for _, call := range renames {
-		if isForwardingRename(pass, fn, call, returnCalls[call]) {
-			continue
-		}
-		pos := call.Pos()
-		if !anyAfter(dirSyncs, pos) {
-			if anyBefore(dirSyncs, pos) {
-				pass.Reportf(pos,
-					"parent-directory fsync precedes the rename; it must follow the rename, or a crash can still lose the directory entry")
-			} else {
-				pass.Reportf(pos,
-					"rename has no parent-directory fsync after it; a crash can lose the rename even though the file data is durable")
-			}
-		}
-		if !anyBefore(fileSyncs, pos) {
-			if anyBefore(osWrites, pos) {
-				pass.Reportf(pos,
-					"file written with os.WriteFile, which does not fsync; sync the file (or use a syncing write helper) before renaming it into place")
-			} else {
-				pass.Reportf(pos,
-					"renamed file's content is not fsynced before the rename; the rename can become durable while the data is not")
-			}
-		}
-	}
-}
-
-func anyBefore(positions []token.Pos, pos token.Pos) bool {
-	for _, p := range positions {
-		if p < pos {
-			return true
-		}
-	}
-	return false
-}
-
-func anyAfter(positions []token.Pos, pos token.Pos) bool {
-	for _, p := range positions {
-		if p > pos {
-			return true
-		}
-	}
-	return false
-}
-
-// isRenameCall recognises os.Rename and any two-argument callee named
-// Rename (the FS abstractions route renames through methods of that name).
-func isRenameCall(call *ast.CallExpr) bool {
-	if len(call.Args) != 2 {
-		return false
-	}
-	return calleeName(call) == "Rename"
-}
-
-// isDirSyncCall recognises directory-fsync helpers by name: the callee
-// mentions both "sync" and "dir" (syncDir, SyncDir, ...).
-func isDirSyncCall(call *ast.CallExpr) bool {
-	name := strings.ToLower(calleeName(call))
-	return strings.Contains(name, "sync") && strings.Contains(name, "dir")
-}
-
-// isFileSyncCall recognises file-durability evidence: an explicit
-// .Sync() call, or a syncing write helper. os.WriteFile is handled by the
-// caller as an explicit non-evidence case.
-func isFileSyncCall(call *ast.CallExpr) bool {
-	name := calleeName(call)
-	if name == "Sync" && len(call.Args) == 0 {
-		return true
-	}
-	return name == "WriteFile" || name == "CreateExclusive"
 }
 
 // calleeName returns the bare name of the called function or method
@@ -169,39 +55,4 @@ func calleeName(call *ast.CallExpr) string {
 		return fun.Sel.Name
 	}
 	return ""
-}
-
-// isForwardingRename reports whether the rename call is a pure forwarding
-// wrapper: its value is returned directly and its two arguments are two
-// adjacent parameters of the enclosing function, in declaration order.
-func isForwardingRename(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr, inReturn bool) bool {
-	if !inReturn || fn.Type.Params == nil {
-		return false
-	}
-	var params []types.Object
-	for _, f := range fn.Type.Params.List {
-		for _, n := range f.Names {
-			params = append(params, pass.Info.Defs[n])
-		}
-	}
-	var idx [2]int
-	for i, arg := range call.Args {
-		id, ok := arg.(*ast.Ident)
-		if !ok {
-			return false
-		}
-		obj := pass.Info.Uses[id]
-		pos := -1
-		for pi, p := range params {
-			if p != nil && p == obj {
-				pos = pi
-				break
-			}
-		}
-		if pos < 0 {
-			return false
-		}
-		idx[i] = pos
-	}
-	return idx[1] == idx[0]+1
 }

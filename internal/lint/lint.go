@@ -24,8 +24,8 @@
 //   - locksafe:    mutex discipline in the service layers — no copies,
 //     double-locks, leaked locks on early returns, or locks held across
 //     blocking operations
-//   - fsyncdisc:   atomic-rename writers fsync the file before the rename
-//     and the parent directory after it
+//   - fsyncdisc:   only internal/durable renames or links files; every
+//     other writer goes through its fsync-ordered helpers
 //
 // A finding can be suppressed where it is a reviewed false positive:
 //

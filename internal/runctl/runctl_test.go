@@ -9,6 +9,8 @@ import (
 	"testing"
 	"time"
 
+	"momosyn/internal/durable"
+	"momosyn/internal/durable/chaosfs"
 	"momosyn/internal/ga"
 	"momosyn/internal/obs"
 )
@@ -134,6 +136,30 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 	if h := reg.Histogram("synth.phase_seconds.dvs", nil); h.Count() != 3 {
 		t.Errorf("restored histogram count = %d, want 3", h.Count())
+	}
+}
+
+// TestSaveFSWritesThroughDurable pins that checkpoint saves take the
+// durable write path on the filesystem they are given: temp write, rename
+// over the checkpoint, then the directory fsync.
+func TestSaveFSWritesThroughDurable(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "job.ckpt")
+	cfs := chaosfs.New(durable.OSFS{})
+	if err := SaveFS(cfs, path, testCheckpoint()); err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, rec := range cfs.Journal() {
+		got = append(got, string(rec.Op)+" "+rec.Path)
+	}
+	journal := strings.Join(got, "\n")
+	if len(got) != 3 || !strings.HasPrefix(got[0], "write "+dir+"/.job.ckpt.tmp") ||
+		got[1] != "rename "+path || got[2] != "syncdir "+dir {
+		t.Fatalf("SaveFS journal:\n%s\nwant write tmp, rename %s, syncdir %s", journal, path, dir)
+	}
+	if _, err := Load(path); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"momosyn/internal/cas"
+	"momosyn/internal/durable"
 	"momosyn/internal/ga"
 	"momosyn/internal/model"
 	"momosyn/internal/obs"
@@ -152,18 +153,19 @@ func (s *Server) materializeCached(req JobRequest, system string, e *cas.Entry) 
 		j.state = StateDone
 		j.cached = true
 		j.created, j.finished = now, now
-		if err := os.MkdirAll(j.dir, 0o755); err != nil {
-			s.mu.Unlock()
-			s.logf("serve: cache hit for %s discarded: job dir: %v", system, err)
-			return nil, nil
+		err = s.makeJobDir(j.dir)
+		if err == nil {
+			err = durable.WriteFileAtomic(s.cfg.FS, filepath.Join(j.dir, resultFile), doc)
 		}
-		if err := writeFileAtomic(filepath.Join(j.dir, resultFile), doc); err != nil {
+		if err == nil {
+			err = s.persist(j)
+		}
+		if err != nil {
 			s.mu.Unlock()
 			os.RemoveAll(j.dir)
-			s.logf("serve: cache hit for %s discarded: persist result: %v", system, err)
+			s.logf("serve: cache hit for %s discarded: persist: %v", system, err)
 			return nil, nil
 		}
-		s.persist(j)
 		s.seq++
 		s.jobs[id] = j
 		s.order = append(s.order, id)

@@ -140,17 +140,9 @@ func (s *Server) syncFleet() error {
 		j := s.jobs[id]
 		s.mu.Unlock()
 		if j == nil {
-			j, err = s.adoptFleetJob(id)
-			if err != nil {
+			if _, err := s.adoptFleetJob(id); err != nil {
 				s.logf("serve: fleet: adopt %s: %v", id, err)
-				continue
 			}
-			s.mu.Lock()
-			if s.jobs[id] == nil {
-				s.jobs[id] = j
-				s.order = append(s.order, id)
-			}
-			s.mu.Unlock()
 			continue
 		}
 		j.mu.Lock()
@@ -169,8 +161,26 @@ func (s *Server) syncFleet() error {
 }
 
 // adoptFleetJob builds the local view of a job another node (or an earlier
-// incarnation of this one) published.
+// incarnation of this one) published and enters it into the job table. It
+// returns the table's entry, which is an earlier adopter's when a
+// concurrent adoption of the same job won.
 func (s *Server) adoptFleetJob(id string) (*Job, error) {
+	j, err := s.readFleetJob(id)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if prev := s.jobs[id]; prev != nil {
+		return prev, nil
+	}
+	s.jobs[id] = j
+	s.order = append(s.order, id)
+	return j, nil
+}
+
+// readFleetJob reads a published job's spec and latest valid manifest.
+func (s *Server) readFleetJob(id string) (*Job, error) {
 	spec, err := s.fleetStore.Spec(id)
 	if err != nil {
 		return nil, err
@@ -576,7 +586,7 @@ func (s *Server) fleetPersistSnap(j *Job, snap jobSnapshot) {
 func (s *Server) fleetCheckpointing(j *Job, lease *fleet.Lease, opts *synth.Options) error {
 	opts.CheckpointPath = lease.StatePath(fleet.KindCheckpoint)
 	opts.CheckpointSave = func(p string, cp *runctl.Checkpoint) error {
-		return lease.Fenced(func() error { return runctl.SaveFS(s.fleetFS, p, cp) })
+		return lease.Fenced(func() error { return runctl.SaveFS(s.cfg.FS, p, cp) })
 	}
 	var latest *runctl.Checkpoint
 	path, epoch, err := s.fleetStore.LatestPath(j.ID, fleet.KindCheckpoint, func(p string) error {
@@ -596,7 +606,7 @@ func (s *Server) fleetCheckpointing(j *Job, lease *fleet.Lease, opts *synth.Opti
 	if epoch != lease.Epoch {
 		// Re-home the inherited checkpoint at our epoch so save and resume
 		// share one path.
-		data, rerr := s.fleetFS.ReadFile(path)
+		data, rerr := s.cfg.FS.ReadFile(path)
 		if rerr != nil {
 			return rerr
 		}

@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"momosyn/internal/cas"
+	"momosyn/internal/durable"
 	"momosyn/internal/fleet"
 	"momosyn/internal/model"
 	"momosyn/internal/obs"
@@ -136,9 +137,10 @@ type Config struct {
 	// Heartbeat is the lease renewal and fleet scan interval (default
 	// LeaseTTL/3). Fleet mode only.
 	Heartbeat time.Duration
-	// FleetFS is the filesystem the fleet store runs on (default the real
-	// filesystem; tests inject chaosfs). Fleet mode only.
-	FleetFS fleet.FS
+	// FS is the filesystem every job, batch, checkpoint, cache and fleet
+	// write goes through (default the real filesystem; tests inject
+	// chaosfs).
+	FS durable.FS
 
 	// CacheDir, when set, enables the content-addressed result cache:
 	// completed certified jobs publish their result under the canonical
@@ -186,6 +188,9 @@ func (c Config) withDefaults() Config {
 	if c.QuarantineDegradeThreshold <= 0 {
 		c.QuarantineDegradeThreshold = 1
 	}
+	if c.FS == nil {
+		c.FS = durable.OSFS{}
+	}
 	if c.FleetDir != "" {
 		if c.NodeID == "" {
 			c.NodeID = fmt.Sprintf("node-%d", os.Getpid())
@@ -195,9 +200,6 @@ func (c Config) withDefaults() Config {
 		}
 		if c.Heartbeat <= 0 {
 			c.Heartbeat = c.LeaseTTL / 3
-		}
-		if c.FleetFS == nil {
-			c.FleetFS = fleet.OSFS{}
 		}
 		if c.CacheDir == "" {
 			// Fleet nodes share one cache through the fleet directory:
@@ -237,7 +239,6 @@ type Server struct {
 
 	// Fleet mode state; nil/zero in single-node mode.
 	fleetStore *fleet.Store
-	fleetFS    fleet.FS
 
 	// cache is the content-addressed result store; nil when disabled.
 	cache *cas.Store
@@ -289,7 +290,7 @@ func New(cfg Config) (*Server, error) {
 	}
 
 	if cfg.CacheDir != "" {
-		store, err := cas.Open(cfg.CacheDir, cfg.CacheMaxBytes, cas.Metrics{
+		store, err := cas.OpenFS(cfg.FS, cfg.CacheDir, cfg.CacheMaxBytes, cas.Metrics{
 			Hits:      s.reg.Counter("serve.cache_hits"),
 			Misses:    s.reg.Counter("serve.cache_misses"),
 			Evictions: s.reg.Counter("serve.cache_evictions"),
@@ -304,13 +305,12 @@ func New(cfg Config) (*Server, error) {
 	if cfg.FleetDir != "" {
 		store, err := fleet.Open(fleet.Config{
 			Dir: cfg.FleetDir, Node: cfg.NodeID, TTL: cfg.LeaseTTL,
-			FS: cfg.FleetFS, Registry: cfg.Registry,
+			FS: cfg.FS, Registry: cfg.Registry,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("serve: %w", err)
 		}
 		s.fleetStore = store
-		s.fleetFS = cfg.FleetFS
 		s.fleetRecovering = s.reg.Gauge("fleet.jobs_recoverable")
 		s.fleetLiveNodes = s.reg.Gauge("fleet.live_nodes")
 		s.fleetDegraded = s.reg.Gauge("fleet.degraded")
@@ -705,7 +705,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		if lease != nil {
 			s.fleetStore.RemoveCheckpoints(j.ID)
 		} else {
-			os.Remove(filepath.Join(j.dir, checkpointFile))
+			s.cfg.FS.Remove(filepath.Join(j.dir, checkpointFile))
 		}
 		// Reveal: terminal counters move under the same lock so state and
 		// /metrics can never disagree.
@@ -843,6 +843,7 @@ func (s *Server) synthesize(ctx context.Context, j *Job, run *obs.Run) (*model.S
 	} else {
 		ckpt := filepath.Join(j.dir, checkpointFile)
 		opts.CheckpointPath = ckpt
+		opts.CheckpointSave = func(p string, cp *runctl.Checkpoint) error { return runctl.SaveFS(s.cfg.FS, p, cp) }
 		if cp, lerr := runctl.Load(ckpt); lerr == nil {
 			opts.Resume = true
 			j.mu.Lock()
@@ -851,7 +852,7 @@ func (s *Server) synthesize(ctx context.Context, j *Job, run *obs.Run) (*model.S
 			s.reg.Counter("serve.jobs_resumed").Inc()
 		} else if !errors.Is(lerr, os.ErrNotExist) {
 			s.logf("serve: job %s: unusable checkpoint, starting fresh: %v", j.ID, lerr)
-			os.Remove(ckpt)
+			s.cfg.FS.Remove(ckpt)
 		}
 	}
 	if s.lifecycleTracing() && opts.CheckpointPath != "" {
@@ -859,9 +860,6 @@ func (s *Server) synthesize(ctx context.Context, j *Job, run *obs.Run) (*model.S
 		// event carrying the save duration (dwell_ns); checkpoint events
 		// do not advance the job's transition clock.
 		inner := opts.CheckpointSave
-		if inner == nil {
-			inner = runctl.Save
-		}
 		epoch := 0
 		if lease != nil {
 			epoch = lease.Epoch
@@ -882,11 +880,7 @@ func (s *Server) synthesize(ctx context.Context, j *Job, run *obs.Run) (*model.S
 	res, err := safeSynthesize(sys, opts)
 	if err != nil && opts.Resume && !errors.Is(err, fleet.ErrLeaseLost) {
 		s.logf("serve: job %s: resume failed (%v), restarting from generation 0", j.ID, err)
-		if lease != nil {
-			_ = s.fleetFS.Remove(opts.CheckpointPath)
-		} else {
-			os.Remove(opts.CheckpointPath)
-		}
+		_ = s.cfg.FS.Remove(opts.CheckpointPath)
 		j.mu.Lock()
 		j.resumedFrom = 0
 		j.mu.Unlock()
@@ -1222,18 +1216,28 @@ func (s *Server) admitJob(req JobRequest, system string) (*Job, *admitError) {
 	j := &Job{ID: id, Request: req, dir: s.jobDir(id), system: system}
 	j.state = StateQueued
 	j.created = time.Now()
-	if err := os.MkdirAll(j.dir, 0o755); err != nil {
-		s.mu.Unlock()
-		return nil, admitErrorf(http.StatusInternalServerError, "job dir: %v", err)
-	}
 	// Persist the queued manifest before the job becomes visible to a
 	// worker: once it is on the queue a worker may transition it to running
 	// (or even terminal) and persist that, and a stale queued write landing
-	// afterwards would clobber the newer state.
-	s.persist(j)
+	// afterwards would clobber the newer state. A job whose directory or
+	// manifest is not durable is refused: a 202 must survive a restart.
+	err := s.makeJobDir(j.dir)
+	if err == nil {
+		err = s.persist(j)
+	}
+	if err != nil {
+		s.mu.Unlock()
+		os.RemoveAll(j.dir)
+		return nil, admitErrorf(http.StatusInternalServerError, "persist job: %v", err)
+	}
+	// The job lock is held from the enqueue until the submitted span is
+	// out: a worker takes it before emitting the attempt span, so the
+	// job's span stream always opens with its submission.
+	j.mu.Lock()
 	select {
 	case s.queue <- j:
 	default:
+		j.mu.Unlock()
 		s.mu.Unlock()
 		os.RemoveAll(j.dir)
 		s.reg.Counter("serve.jobs_rejected").Inc()
@@ -1241,6 +1245,11 @@ func (s *Server) admitJob(req JobRequest, system string) (*Job, *admitError) {
 		e.retryAfter = "1"
 		return nil, e
 	}
+	if s.lifecycleTracing() {
+		s.emitJobSpan(obs.JobEvent{Job: id, Event: obs.JobSubmitted,
+			State: string(StateQueued)})
+	}
+	j.mu.Unlock()
 	s.seq++
 	s.jobs[id] = j
 	s.order = append(s.order, id)
@@ -1248,10 +1257,6 @@ func (s *Server) admitJob(req JobRequest, system string) (*Job, *admitError) {
 	s.jobsByState()
 	s.mu.Unlock()
 	s.reg.Counter("serve.jobs_submitted").Inc()
-	if s.lifecycleTracing() {
-		s.emitJobSpan(obs.JobEvent{Job: id, Event: obs.JobSubmitted,
-			State: string(StateQueued)})
-	}
 	return j, nil
 }
 
@@ -1367,6 +1372,9 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 // lookup resolves the {id} path segment, writing the 404 itself on a miss.
+// A fleet node adopts a job it has not yet seen in a coordination pass, so
+// a job published through any node is visible through every node as soon
+// as its manifest lands.
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *Job {
 	id := r.PathValue("id")
 	if !validJobID(id) {
@@ -1376,6 +1384,9 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *Job {
 	s.mu.Lock()
 	j := s.jobs[id]
 	s.mu.Unlock()
+	if j == nil && s.fleetStore != nil {
+		j, _ = s.adoptFleetJob(id)
+	}
 	if j == nil {
 		writeError(w, http.StatusNotFound, "no such job %q", id)
 		return nil

@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"time"
 
+	"momosyn/internal/durable"
 	"momosyn/internal/fleet"
 )
 
@@ -69,61 +70,30 @@ func (s *Server) jobDir(id string) string {
 	return filepath.Join(s.cfg.DataDir, "jobs", id)
 }
 
-// writeFileAtomic writes data to path via a temp file and rename, the same
-// crash discipline runctl uses for checkpoints. The parent directory is
-// fsynced after the rename: without it a crash can lose the rename itself
-// (the data is durable but the directory entry is not), resurrecting the
-// old file.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
-	if err != nil {
+// makeJobDir creates a single-node job directory and fsyncs data/jobs, so
+// the new directory entry is as durable as the manifest about to land in
+// it.
+func (s *Server) makeJobDir(dir string) error {
+	if err := s.cfg.FS.MkdirAll(dir); err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	return s.cfg.FS.SyncDir(filepath.Dir(dir))
 }
 
-// syncDir fsyncs a directory, making renames within it durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	if err := d.Sync(); err != nil {
-		d.Close()
-		return err
-	}
-	return d.Close()
-}
-
-// persist writes the job's manifest. Persistence failures are logged, not
-// fatal: the in-memory job table keeps serving, the job merely loses
+// persist writes the job's manifest. Failures are logged and returned:
+// admission refuses a job whose queued manifest did not land, while every
+// later transition keeps serving from the in-memory table and merely loses
 // restart durability. In fleet mode the write goes through the lease
-// fence instead.
-func (s *Server) persist(j *Job) { s.persistSnap(j, j.snapshot()) }
+// fence instead, and its failures are handled there (nil is returned).
+func (s *Server) persist(j *Job) error { return s.persistSnap(j, j.snapshot()) }
 
 // persistSnap is persist with an explicit snapshot, for the worker's
 // terminal path where the manifest must carry the job's final state while
 // the in-memory job still hides it.
-func (s *Server) persistSnap(j *Job, snap jobSnapshot) {
+func (s *Server) persistSnap(j *Job, snap jobSnapshot) error {
 	if s.fleetStore != nil {
 		s.fleetPersistSnap(j, snap)
-		return
+		return nil
 	}
 	m := manifest{
 		ID:          j.ID,
@@ -140,11 +110,12 @@ func (s *Server) persistSnap(j *Job, snap jobSnapshot) {
 	m.Attempts, m.NotBefore = manifestRetry(snap)
 	data, err := json.MarshalIndent(&m, "", "  ")
 	if err == nil {
-		err = writeFileAtomic(filepath.Join(j.dir, manifestFile), data)
+		err = durable.WriteFileAtomic(s.cfg.FS, filepath.Join(j.dir, manifestFile), data)
 	}
 	if err != nil {
 		s.logf("serve: job %s: persist manifest: %v", j.ID, err)
 	}
+	return err
 }
 
 // persistResult stores the rendered result document next to the manifest
@@ -161,7 +132,7 @@ func (s *Server) persistResult(j *Job, doc []byte) {
 		}
 		err = lease.Write(fleet.KindResult, doc)
 	} else {
-		err = writeFileAtomic(filepath.Join(j.dir, resultFile), doc)
+		err = durable.WriteFileAtomic(s.cfg.FS, filepath.Join(j.dir, resultFile), doc)
 	}
 	if err != nil {
 		s.logf("serve: job %s: persist result: %v", j.ID, err)
@@ -184,7 +155,7 @@ func (j *Job) loadResult() []byte {
 // order, and the highest sequence number seen.
 func (s *Server) recoverJobs() (requeue []*Job, maxSeq int, err error) {
 	root := filepath.Join(s.cfg.DataDir, "jobs")
-	if err := os.MkdirAll(root, 0o755); err != nil {
+	if err := s.cfg.FS.MkdirAll(root); err != nil {
 		return nil, 0, fmt.Errorf("serve: data dir: %w", err)
 	}
 	entries, err := os.ReadDir(root)
@@ -248,14 +219,14 @@ func (s *Server) recoverJobs() (requeue []*Job, maxSeq int, err error) {
 				s.reg.Counter("serve.jobs_quarantined").Inc()
 				s.quarWindow.record(time.Now())
 				s.logf("serve: recovery: job %s quarantined after %d attempts", j.ID, j.attempts)
-				s.persistRecovered(j)
+				s.persist(j)
 				break
 			}
 			// Back to the queue. The worker decides between resume and
 			// fresh start when it finds (or fails to load) the checkpoint.
 			j.state = StateQueued
 			if m.State == StateRunning {
-				s.persistRecovered(j) // make the consumed attempt durable
+				s.persist(j) // make the consumed attempt durable
 			}
 			s.reg.Counter("serve.jobs_requeued").Inc()
 			requeue = append(requeue, j)
@@ -280,11 +251,6 @@ func decodeManifest(data []byte, name string, m *manifest) string {
 	}
 	return ""
 }
-
-// persistRecovered persists a state decision made during recovery. It runs
-// before the fleet/single-node split matters (recovery is single-node only)
-// and before the job is visible, so a plain persist is safe.
-func (s *Server) persistRecovered(j *Job) { s.persist(j) }
 
 func orNone(s string) string {
 	if s == "" {
