@@ -11,8 +11,9 @@
 package dvs
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"momosyn/internal/energy"
 	"momosyn/internal/model"
@@ -38,48 +39,87 @@ func (s Segment) Duration() float64 { return s.End - s.Start }
 // Transform folds the (possibly parallel) executions of the given task
 // slots — all on one hardware PE — into the sequential virtual-task chain
 // of paper Fig. 5. Slots must have strictly positive durations; empty gaps
-// between executions produce no segment.
+// between executions produce no segment. A segment lists its active tasks,
+// and sums their powers, in ascending task-ID order.
 func Transform(slots []sched.TaskSlot) []Segment {
-	type ev struct {
-		t     float64
-		delta int // +1 start, -1 end
-		slot  int
-	}
-	var evs []ev
-	for i := range slots {
-		evs = append(evs, ev{slots[i].Start, +1, i}, ev{slots[i].Finish, -1, i})
-	}
-	sort.Slice(evs, func(i, j int) bool {
-		switch {
-		case evs[i].t < evs[j].t:
-			return true
-		case evs[j].t < evs[i].t:
-			return false
-		}
-		// Ends before starts so zero-length overlaps do not merge segments.
-		return evs[i].delta < evs[j].delta
-	})
-	active := make(map[int]bool)
+	var z Scaler
+	z.segment(slots)
 	var segs []Segment
+	for _, sg := range z.segs {
+		segs = append(segs, Segment{
+			Start:  sg.start,
+			End:    sg.end,
+			Power:  sg.power,
+			Active: z.segTasks[sg.lo:sg.hi:sg.hi],
+		})
+	}
+	return segs
+}
+
+// span is a Segment held in a Scaler's buffers: its active tasks are
+// segTasks[lo:hi].
+type span struct {
+	start, end, power float64
+	lo, hi            int32
+}
+
+// event is the start (delta +1) or end (delta -1) of one slot in the
+// segment sweep.
+type event struct {
+	t     float64
+	delta int32
+	slot  int32
+}
+
+// cmpEvent orders events by time, ends before starts so zero-length
+// overlaps do not merge segments, then by slot.
+func cmpEvent(a, b event) int {
+	switch {
+	case a.t < b.t:
+		return -1
+	case b.t < a.t:
+		return 1
+	case a.delta != b.delta:
+		return cmp.Compare(a.delta, b.delta)
+	}
+	return cmp.Compare(a.slot, b.slot)
+}
+
+// segment appends the Fig. 5 segments of slots, all on one hardware PE, to
+// z.segs and their active tasks to z.segTasks.
+func (z *Scaler) segment(slots []sched.TaskSlot) {
+	z.evs = z.evs[:0]
+	for i := range slots {
+		//mm:alloc-ok grows on first use; later calls reuse the capacity
+		z.evs = append(z.evs, event{slots[i].Start, +1, int32(i)}, event{slots[i].Finish, -1, int32(i)})
+	}
+	slices.SortFunc(z.evs, cmpEvent)
+	// z.on holds the active slots in ascending task-ID order.
+	z.on = z.on[:0]
 	prev := math.Inf(-1)
-	for _, e := range evs {
-		if len(active) > 0 && e.t > prev {
-			seg := Segment{Start: prev, End: e.t}
-			for si := range active {
-				seg.Power += slots[si].Power
-				seg.Active = append(seg.Active, slots[si].Task)
+	for _, e := range z.evs {
+		if len(z.on) > 0 && e.t > prev {
+			sg := span{start: prev, end: e.t, lo: int32(len(z.segTasks))}
+			for _, si := range z.on {
+				sg.power += slots[si].Power
+				//mm:alloc-ok grows on first use; later calls reuse the capacity
+				z.segTasks = append(z.segTasks, slots[si].Task)
 			}
-			sort.Slice(seg.Active, func(i, j int) bool { return seg.Active[i] < seg.Active[j] })
-			segs = append(segs, seg)
+			sg.hi = int32(len(z.segTasks))
+			//mm:alloc-ok grows on first use; later calls reuse the capacity
+			z.segs = append(z.segs, sg)
 		}
 		if e.delta > 0 {
-			active[e.slot] = true
-		} else {
-			delete(active, e.slot)
+			i := len(z.on)
+			for i > 0 && slots[z.on[i-1]].Task > slots[e.slot].Task {
+				i--
+			}
+			z.on = slices.Insert(z.on, i, e.slot)
+		} else if i := slices.Index(z.on, e.slot); i >= 0 {
+			z.on = slices.Delete(z.on, i, i+1)
 		}
 		prev = e.t
 	}
-	return segs
 }
 
 // node is one activity of the scaling constraint graph.
@@ -88,21 +128,22 @@ type node struct {
 	// nominal voltage.
 	dur, nom float64
 	power    float64
-	pe       *model.PE // nil for communications
-	level    int       // current voltage level index (into pe.Levels)
-	deadline float64   // +Inf when unconstrained
-	scalable bool
-
-	preds, succs []int32
+	deadline float64 // +Inf when unconstrained
 
 	start, finish, lf float64
 
-	// Bookkeeping to write results back to the schedule.
-	task  model.TaskID // valid when kind == nkTask
-	edge  model.EdgeID // valid when kind == nkComm
-	segPE model.PEID   // valid when kind == nkSeg
-	seg   Segment      // valid when kind == nkSeg
-	kind  nodeKind
+	// The node's next voltage step, cached until its level drops: the
+	// duration one level down, the delay it adds, and its energy saving
+	// per added delay.
+	nextDur, dt, ratio float64
+
+	pe       *model.PE // nil for communications
+	level    int       // current voltage level index (into pe.Levels)
+	scalable bool
+	kind     nodeKind
+	// ref is the task ID (nkTask), edge ID (nkComm) or index into
+	// Scaler.segs (nkSeg) the node writes back to.
+	ref int32
 }
 
 type nodeKind uint8
@@ -113,13 +154,73 @@ const (
 	nkSeg
 )
 
-// graph is the scaling constraint graph of one mode.
-type graph struct {
-	nodes []node
-	order []int32 // topological order
-	// startOf/endOf map a task to the node carrying its start/finish
-	// (identical for plain tasks, first/last segment for DVS hardware).
-	startOf, endOf []int32
+// nextMove caches the node's next voltage step and reports whether the
+// step lowers energy at a positive added delay. Whether the delay fits the
+// node's slack is checked per greedy step.
+func (nd *node) nextMove() bool {
+	if !nd.scalable || nd.level <= 0 || nd.nom <= 0 {
+		return false
+	}
+	pe := nd.pe
+	vCur := pe.Levels[nd.level]
+	vNext := pe.Levels[nd.level-1]
+	nd.nextDur = energy.ScaledTime(nd.nom, vNext, pe.Vmax, pe.Vt)
+	nd.dt = nd.nextDur - nd.dur
+	if nd.dt <= 0 {
+		return false
+	}
+	gain := energy.EnergySaving(nd.power, nd.nom, vCur, vNext, pe.Vmax)
+	if gain <= 0 {
+		return false
+	}
+	nd.ratio = gain / nd.dt
+	return true
+}
+
+// edge is one precedence constraint of the constraint graph.
+type edge struct{ from, to int32 }
+
+// chainRef places one node on an ordered resource: a communication link
+// (cl >= 0), a software PE (tt and core -1) or a hardware core instance.
+// Nodes with the same resource key are chained in (start, node) order.
+type chainRef struct {
+	cl    model.CLID
+	pe    model.PEID
+	tt    model.TaskTypeID
+	core  int
+	start float64
+	node  int32
+}
+
+func (r chainRef) sameResource(o chainRef) bool {
+	return r.cl == o.cl && r.pe == o.pe && r.tt == o.tt && r.core == o.core
+}
+
+func cmpChainRef(a, b chainRef) int {
+	switch {
+	case a.cl != b.cl:
+		return cmp.Compare(a.cl, b.cl)
+	case a.pe != b.pe:
+		return cmp.Compare(a.pe, b.pe)
+	case a.tt != b.tt:
+		return cmp.Compare(a.tt, b.tt)
+	case a.core != b.core:
+		return cmp.Compare(a.core, b.core)
+	case a.start < b.start:
+		return -1
+	case b.start < a.start:
+		return 1
+	}
+	return cmp.Compare(a.node, b.node)
+}
+
+// acc accumulates a segmented hardware task's timing and energy over the
+// segments it is active in.
+type acc struct {
+	start, finish float64
+	energyJ       float64
+	minLevel      int
+	seen          bool
 }
 
 // Config tunes voltage selection. The zero value is the paper's full
@@ -144,55 +245,92 @@ func Scale(s *model.System, sc *sched.Schedule) bool {
 	return ScaleWith(s, sc, Config{})
 }
 
-// ScaleWith is Scale with explicit configuration.
+// ScaleWith is Scale with explicit configuration. Callers that scale many
+// schedules should keep a Scaler instead.
 func ScaleWith(s *model.System, sc *sched.Schedule, cfg Config) bool {
+	var z Scaler
+	return z.Scale(s, sc, cfg)
+}
+
+// Scaler performs ScaleWith in buffers it keeps between calls, so once they
+// have grown to the largest mode seen, scaling allocates nothing. The zero
+// value is ready to use. A Scaler must not be used concurrently.
+type Scaler struct {
+	// The constraint graph: nodes, the precedence edges, and the edges
+	// packed per node (preds[predOff[v]:predOff[v+1]], likewise succs).
+	nodes            []node
+	edges            []edge
+	predOff, succOff []int32
+	preds, succs     []int32
+	order            []int32 // topological order
+	indeg            []int32
+	// startOf/endOf map a task to the node carrying its start/finish
+	// (identical for plain tasks, first/last segment for DVS hardware).
+	startOf, endOf []int32
+	// cand lists, ascending, the nodes whose cached next move is valid.
+	cand []int32
+
+	// Fig. 5 transformation scratch.
+	slots    []sched.TaskSlot
+	evs      []event
+	on       []int32
+	segs     []span
+	segTasks []model.TaskID
+
+	refs []chainRef
+	accs []acc
+}
+
+// Scale is ScaleWith in the scaler's buffers.
+//
+//mm:noalloc
+func (z *Scaler) Scale(s *model.System, sc *sched.Schedule, cfg Config) bool {
 	if sc.Unroutable > 0 || sc.Lateness(s) > 1e-9 {
 		return false
 	}
-	g := buildGraph(s, sc, cfg)
-	if g == nil {
+	if !z.build(s, sc, cfg) {
 		return false
 	}
-	changed := greedyScale(g)
-	writeBack(s, sc, g)
+	changed := z.greedy()
+	z.writeBack(sc)
 	return changed
 }
 
-// buildGraph assembles the constraint graph: task/segment/communication
-// nodes, precedence edges via communications, and resource-order chains for
+// hwDVS reports whether the PE's tasks are scaled through the Fig. 5
+// segment chain.
+func hwDVS(pe *model.PE, cfg Config) bool {
+	return pe.Class.IsHardware() && pe.Scalable() && !cfg.SoftwareOnly
+}
+
+// build assembles the constraint graph: task/segment/communication nodes,
+// precedence edges via communications, and resource-order chains for
 // software PEs, hardware core instances, DVS hardware segments and CLs.
-// Returns nil when the graph has no scalable node.
-func buildGraph(s *model.System, sc *sched.Schedule, cfg Config) *graph {
+// Node indices decide greedy ties, so nodes come in a fixed order: plain
+// tasks in schedule order, segments by ascending PE, communications in
+// edge order. Returns false when the graph has no scalable node or is
+// cyclic.
+func (z *Scaler) build(s *model.System, sc *sched.Schedule, cfg Config) bool {
 	mode := s.App.Mode(sc.Mode)
 	tg := mode.Graph
 	n := len(tg.Tasks)
-	g := &graph{
-		startOf: make([]int32, n),
-		endOf:   make([]int32, n),
-	}
-	for i := range g.startOf {
-		g.startOf[i] = -1
-		g.endOf[i] = -1
-	}
+	z.nodes, z.edges, z.refs = z.nodes[:0], z.edges[:0], z.refs[:0]
+	z.segs, z.segTasks = z.segs[:0], z.segTasks[:0]
+	z.startOf = fill(z.startOf, n, -1)
+	z.endOf = fill(z.endOf, n, -1)
 
 	anyScalable := false
-	// Group hardware-DVS slots per PE; emit plain nodes for the rest.
-	hwSlots := make(map[model.PEID][]sched.TaskSlot)
+	// Plain nodes for everything but DVS hardware.
 	for ti := range sc.Tasks {
-		slot := sc.Tasks[ti]
+		slot := &sc.Tasks[ti]
 		pe := s.Arch.PE(slot.PE)
-		if pe.Class.IsHardware() && pe.Scalable() && !cfg.SoftwareOnly {
-			hwSlots[pe.ID] = append(hwSlots[pe.ID], slot)
+		if hwDVS(pe, cfg) {
 			continue
 		}
 		scal := pe.Scalable() && pe.Class.IsSoftware()
-		if scal {
-			anyScalable = true
-		}
-		id := int32(len(g.nodes))
-		g.nodes = append(g.nodes, node{
+		anyScalable = anyScalable || scal
+		id := z.addNode(node{
 			kind:     nkTask,
-			task:     slot.Task,
+			ref:      int32(slot.Task),
 			dur:      slot.NomTime,
 			nom:      slot.NomTime,
 			power:    slot.Power,
@@ -201,171 +339,113 @@ func buildGraph(s *model.System, sc *sched.Schedule, cfg Config) *graph {
 			deadline: tg.Task(slot.Task).EffectiveDeadline(mode.Period),
 			scalable: scal,
 		})
-		g.startOf[slot.Task] = id
-		g.endOf[slot.Task] = id
+		z.startOf[slot.Task] = id
+		z.endOf[slot.Task] = id
 	}
-	// Segment nodes for DVS hardware PEs (Fig. 5 transformation).
-	var hwPEs []model.PEID
-	for pe := range hwSlots {
-		hwPEs = append(hwPEs, pe)
-	}
-	sort.Slice(hwPEs, func(i, j int) bool { return hwPEs[i] < hwPEs[j] })
-	for _, peID := range hwPEs {
-		pe := s.Arch.PE(peID)
-		slots := hwSlots[peID]
-		segs := Transform(slots)
-		anyScalable = anyScalable || len(segs) > 0
-		lastSeg := make(map[model.TaskID]int32)
+	// Segment nodes for DVS hardware PEs (Fig. 5 transformation), by
+	// ascending PE.
+	for _, pe := range s.Arch.PEs {
+		if !hwDVS(pe, cfg) {
+			continue
+		}
+		z.slots = z.slots[:0]
+		for ti := range sc.Tasks {
+			if sc.Tasks[ti].PE == pe.ID {
+				//mm:alloc-ok grows on first use; later calls reuse the capacity
+				z.slots = append(z.slots, sc.Tasks[ti])
+			}
+		}
+		first := len(z.segs)
+		z.segment(z.slots)
+		anyScalable = anyScalable || len(z.segs) > first
 		var prev int32 = -1
-		for _, seg := range segs {
-			id := int32(len(g.nodes))
-			g.nodes = append(g.nodes, node{
+		for si := first; si < len(z.segs); si++ {
+			sg := z.segs[si]
+			id := z.addNode(node{
 				kind:     nkSeg,
-				segPE:    peID,
-				seg:      seg,
-				dur:      seg.Duration(),
-				nom:      seg.Duration(),
-				power:    seg.Power,
+				ref:      int32(si),
+				dur:      sg.end - sg.start,
+				nom:      sg.end - sg.start,
+				power:    sg.power,
 				pe:       pe,
 				level:    maxLevel(pe),
 				deadline: math.Inf(1),
 				scalable: true,
 			})
-			if prev >= 0 {
-				addEdge(g, prev, id)
-			}
+			z.addEdge(prev, id)
 			prev = id
-			for _, t := range seg.Active {
-				if g.startOf[t] < 0 {
-					g.startOf[t] = id
+			for _, t := range z.segTasks[sg.lo:sg.hi] {
+				if z.startOf[t] < 0 {
+					z.startOf[t] = id
 				}
-				lastSeg[t] = id
+				z.endOf[t] = id
 			}
 		}
 		// Deadlines attach to the segment in which each task finishes.
-		for t, id := range lastSeg {
-			g.endOf[t] = id
-			d := tg.Task(t).EffectiveDeadline(mode.Period)
-			if d < g.nodes[id].deadline {
-				g.nodes[id].deadline = d
+		for k := range z.slots {
+			t := z.slots[k].Task
+			id := z.endOf[t]
+			if id < 0 {
+				continue
+			}
+			if d := tg.Task(t).EffectiveDeadline(mode.Period); d < z.nodes[id].deadline {
+				z.nodes[id].deadline = d
 			}
 		}
 	}
 	if !anyScalable {
-		return nil
+		return false
 	}
 
 	// Communication nodes and precedence edges.
-	clChains := make(map[model.CLID][]int32)
-	type commRef struct {
-		node  int32
-		start float64
-	}
-	clSlots := make(map[model.CLID][]commRef)
 	for ei := range sc.Comms {
-		cs := sc.Comms[ei]
+		cs := &sc.Comms[ei]
 		e := tg.Edge(model.EdgeID(ei))
-		src, dst := g.endOf[e.Src], g.startOf[e.Dst]
+		src, dst := z.endOf[e.Src], z.startOf[e.Dst]
 		if cs.Routed && cs.CL != model.NoCL && cs.Time > 0 {
-			id := int32(len(g.nodes))
-			g.nodes = append(g.nodes, node{
+			id := z.addNode(node{
 				kind:     nkComm,
-				edge:     model.EdgeID(ei),
+				ref:      int32(ei),
 				dur:      cs.Time,
 				nom:      cs.Time,
 				power:    cs.Power,
 				deadline: math.Inf(1),
 			})
-			addEdge(g, src, id)
-			addEdge(g, id, dst)
-			clSlots[cs.CL] = append(clSlots[cs.CL], commRef{id, cs.Start})
+			z.addEdge(src, id)
+			z.addEdge(id, dst)
+			//mm:alloc-ok grows on first use; later calls reuse the capacity
+			z.refs = append(z.refs, chainRef{cl: cs.CL, pe: model.NoPE, tt: -1, core: -1, start: cs.Start, node: id})
 		} else {
-			addEdge(g, src, dst)
-		}
-	}
-	for cl, refs := range clSlots {
-		sort.Slice(refs, func(i, j int) bool {
-			switch {
-			case refs[i].start < refs[j].start:
-				return true
-			case refs[j].start < refs[i].start:
-				return false
-			}
-			return refs[i].node < refs[j].node
-		})
-		for _, r := range refs {
-			clChains[cl] = append(clChains[cl], r.node)
-		}
-		chain := clChains[cl]
-		for i := 1; i < len(chain); i++ {
-			addEdge(g, chain[i-1], chain[i])
+			z.addEdge(src, dst)
 		}
 	}
 
-	// Resource chains for software PEs and non-DVS hardware core instances.
-	type resKey struct {
-		pe   model.PEID
-		tt   model.TaskTypeID
-		core int
-	}
-	chains := make(map[resKey][]int32)
-	var keys []resKey
+	// Resource chains for CLs, software PEs and non-DVS hardware core
+	// instances; DVS hardware is ordered by its segment chain.
 	for ti := range sc.Tasks {
-		slot := sc.Tasks[ti]
+		slot := &sc.Tasks[ti]
 		pe := s.Arch.PE(slot.PE)
-		if pe.Class.IsHardware() && pe.Scalable() && !cfg.SoftwareOnly {
-			continue // ordering enforced by the segment chain
+		if hwDVS(pe, cfg) {
+			continue
 		}
-		var k resKey
+		r := chainRef{cl: model.NoCL, pe: slot.PE, tt: -1, core: -1, start: slot.Start, node: z.startOf[slot.Task]}
 		if pe.Class.IsHardware() {
-			k = resKey{slot.PE, tg.Task(slot.Task).Type, slot.Core}
-		} else {
-			k = resKey{slot.PE, -1, -1}
+			r.tt, r.core = tg.Task(slot.Task).Type, slot.Core
 		}
-		if _, ok := chains[k]; !ok {
-			keys = append(keys, k)
-		}
-		chains[k] = append(chains[k], g.startOf[slot.Task])
+		//mm:alloc-ok grows on first use; later calls reuse the capacity
+		z.refs = append(z.refs, r)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.pe != b.pe {
-			return a.pe < b.pe
-		}
-		if a.tt != b.tt {
-			return a.tt < b.tt
-		}
-		return a.core < b.core
-	})
-	for _, k := range keys {
-		chain := chains[k]
-		sort.Slice(chain, func(i, j int) bool {
-			a, b := chain[i], chain[j]
-			sa := sc.Tasks[g.nodes[a].task].Start
-			sb := sc.Tasks[g.nodes[b].task].Start
-			switch {
-			case sa < sb:
-				return true
-			case sb < sa:
-				return false
-			}
-			return a < b
-		})
-		for i := 1; i < len(chain); i++ {
-			addEdge(g, chain[i-1], chain[i])
+	slices.SortFunc(z.refs, cmpChainRef)
+	for i := 1; i < len(z.refs); i++ {
+		if z.refs[i].sameResource(z.refs[i-1]) {
+			z.addEdge(z.refs[i-1].node, z.refs[i].node)
 		}
 	}
-
-	if !topoSort(g) {
-		return nil
-	}
-	return g
+	return z.link()
 }
 
 // maxLevel returns the top voltage-level index of the PE, or -1 when the
 // PE does not support DVS.
-//
-//mm:noalloc
 func maxLevel(pe *model.PE) int {
 	if !pe.DVS {
 		return -1
@@ -373,67 +453,91 @@ func maxLevel(pe *model.PE) int {
 	return len(pe.Levels) - 1
 }
 
-func addEdge(g *graph, from, to int32) {
+func (z *Scaler) addNode(nd node) int32 {
+	//mm:alloc-ok grows on first use; later calls reuse the capacity
+	z.nodes = append(z.nodes, nd)
+	return int32(len(z.nodes) - 1)
+}
+
+func (z *Scaler) addEdge(from, to int32) {
 	if from < 0 || to < 0 || from == to {
 		return
 	}
-	g.nodes[from].succs = append(g.nodes[from].succs, to)
-	g.nodes[to].preds = append(g.nodes[to].preds, from)
+	//mm:alloc-ok grows on first use; later calls reuse the capacity
+	z.edges = append(z.edges, edge{from, to})
 }
 
-// topoSort fills g.order (Kahn); returns false on a cycle, which indicates
-// an internal inconsistency and disables scaling.
-func topoSort(g *graph) bool {
-	n := len(g.nodes)
-	indeg := make([]int, n)
-	for i := range g.nodes {
-		for range g.nodes[i].preds {
-			indeg[i]++
+// link packs the edges into the per-node pred/succ ranges and fills
+// z.order (Kahn); it returns false on a cycle, which indicates an internal
+// inconsistency and disables scaling.
+func (z *Scaler) link() bool {
+	n := len(z.nodes)
+	// Count each node's degree, take inclusive prefix sums (the end of its
+	// range), then place every edge by decrementing: the offsets finish at
+	// the start of each range, and off[n] is the edge count.
+	z.predOff = fill(z.predOff, n+1, 0)
+	z.succOff = fill(z.succOff, n+1, 0)
+	for _, e := range z.edges {
+		z.predOff[e.to]++
+		z.succOff[e.from]++
+	}
+	for v := 1; v <= n; v++ {
+		z.predOff[v] += z.predOff[v-1]
+		z.succOff[v] += z.succOff[v-1]
+	}
+	z.preds = resize(z.preds, len(z.edges))
+	z.succs = resize(z.succs, len(z.edges))
+	for _, e := range z.edges {
+		z.predOff[e.to]--
+		z.preds[z.predOff[e.to]] = e.from
+		z.succOff[e.from]--
+		z.succs[z.succOff[e.from]] = e.to
+	}
+
+	z.indeg = resize(z.indeg, n)
+	z.order = resize(z.order, n)
+	tail := 0
+	for v := 0; v < n; v++ {
+		z.indeg[v] = z.predOff[v+1] - z.predOff[v]
+		if z.indeg[v] == 0 {
+			z.order[tail] = int32(v)
+			tail++
 		}
 	}
-	queue := make([]int32, 0, n)
-	for i := 0; i < n; i++ {
-		if indeg[i] == 0 {
-			queue = append(queue, int32(i))
-		}
-	}
-	g.order = g.order[:0]
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		g.order = append(g.order, v)
-		for _, w := range g.nodes[v].succs {
-			indeg[w]--
-			if indeg[w] == 0 {
-				queue = append(queue, w)
+	for head := 0; head < tail; head++ {
+		v := z.order[head]
+		for _, w := range z.succs[z.succOff[v]:z.succOff[v+1]] {
+			z.indeg[w]--
+			if z.indeg[w] == 0 {
+				z.order[tail] = w
+				tail++
 			}
 		}
 	}
-	return len(g.order) == n
+	return tail == n
 }
 
 // timestamp runs the forward (earliest start/finish) and backward (latest
 // finish) passes over the current durations.
-//
-//mm:noalloc
-func timestamp(g *graph) {
-	for _, v := range g.order {
-		nd := &g.nodes[v]
+func (z *Scaler) timestamp() {
+	nodes := z.nodes
+	for _, v := range z.order {
+		nd := &nodes[v]
 		st := 0.0
-		for _, p := range nd.preds {
-			if f := g.nodes[p].finish; f > st {
+		for _, p := range z.preds[z.predOff[v]:z.predOff[v+1]] {
+			if f := nodes[p].finish; f > st {
 				st = f
 			}
 		}
 		nd.start = st
 		nd.finish = st + nd.dur
 	}
-	for i := len(g.order) - 1; i >= 0; i-- {
-		v := g.order[i]
-		nd := &g.nodes[v]
+	for i := len(z.order) - 1; i >= 0; i-- {
+		v := z.order[i]
+		nd := &nodes[v]
 		lf := nd.deadline
-		for _, s := range nd.succs {
-			sn := &g.nodes[s]
+		for _, s := range z.succs[z.succOff[v]:z.succOff[v+1]] {
+			sn := &nodes[s]
 			if v2 := sn.lf - sn.dur; v2 < lf {
 				lf = v2
 			}
@@ -442,74 +546,58 @@ func timestamp(g *graph) {
 	}
 }
 
-// greedyScale repeatedly applies the single voltage-step move with the
-// best energy-saving per added delay until no feasible move remains.
-//
-//mm:noalloc
-func greedyScale(g *graph) bool {
+// greedy repeatedly applies the single voltage-step move with the best
+// energy-saving per added delay until no feasible move remains. Ties go to
+// the lowest node index. It leaves the timestamps current.
+func (z *Scaler) greedy() bool {
+	z.cand = z.cand[:0]
+	for i := range z.nodes {
+		if z.nodes[i].nextMove() {
+			//mm:alloc-ok grows on first use; later calls reuse the capacity
+			z.cand = append(z.cand, int32(i))
+		}
+	}
 	changed := false
 	for {
-		timestamp(g)
+		z.timestamp()
 		best := -1
 		bestRatio := 0.0
-		var bestDur float64
-		for i := range g.nodes {
-			nd := &g.nodes[i]
-			if !nd.scalable || nd.level <= 0 || nd.nom <= 0 {
+		for k, i := range z.cand {
+			nd := &z.nodes[i]
+			if slack := nd.lf - nd.finish; nd.dt > slack+1e-12 {
 				continue
 			}
-			pe := nd.pe
-			vCur := pe.Levels[nd.level]
-			vNext := pe.Levels[nd.level-1]
-			newDur := energy.ScaledTime(nd.nom, vNext, pe.Vmax, pe.Vt)
-			dt := newDur - nd.dur
-			if dt <= 0 {
-				continue
-			}
-			slack := nd.lf - nd.finish
-			if dt > slack+1e-12 {
-				continue
-			}
-			gain := energy.EnergySaving(nd.power, nd.nom, vCur, vNext, pe.Vmax)
-			if gain <= 0 {
-				continue
-			}
-			if r := gain / dt; r > bestRatio {
-				bestRatio = r
-				best = i
-				bestDur = newDur
+			if nd.ratio > bestRatio {
+				bestRatio = nd.ratio
+				best = k
 			}
 		}
 		if best < 0 {
 			return changed
 		}
-		g.nodes[best].level--
-		g.nodes[best].dur = bestDur
+		nd := &z.nodes[z.cand[best]]
+		nd.level--
+		nd.dur = nd.nextDur
 		changed = true
+		if !nd.nextMove() {
+			z.cand = slices.Delete(z.cand, best, best+1)
+		}
 	}
 }
 
 // writeBack transfers the scaled timing, voltages and energies from the
 // constraint graph into the schedule slots.
-func writeBack(s *model.System, sc *sched.Schedule, g *graph) {
-	timestamp(g)
-	// Per-task accumulation for segmented hardware tasks.
-	type acc struct {
-		start, finish float64
-		energyJ       float64
-		minLevel      int
-		seen          bool
-	}
-	accs := make(map[model.TaskID]*acc)
+func (z *Scaler) writeBack(sc *sched.Schedule) {
+	z.accs = fill(z.accs, len(sc.Tasks), acc{})
 	makespan := 0.0
-	for i := range g.nodes {
-		nd := &g.nodes[i]
+	for i := range z.nodes {
+		nd := &z.nodes[i]
 		if nd.finish > makespan {
 			makespan = nd.finish
 		}
 		switch nd.kind {
 		case nkTask:
-			slot := &sc.Tasks[nd.task]
+			slot := &sc.Tasks[nd.ref]
 			slot.Start = nd.start
 			slot.Finish = nd.finish
 			if nd.pe.DVS {
@@ -519,21 +607,17 @@ func writeBack(s *model.System, sc *sched.Schedule, g *graph) {
 				slot.Energy = nd.power * nd.nom
 			}
 		case nkComm:
-			slot := &sc.Comms[nd.edge]
+			slot := &sc.Comms[nd.ref]
 			slot.Start = nd.start
 			slot.Finish = nd.finish
 		case nkSeg:
 			v := nd.pe.Levels[nd.level]
 			r := v / nd.pe.Vmax
-			for _, t := range nd.seg.Active {
-				a := accs[t]
-				if a == nil {
-					a = &acc{start: nd.start, minLevel: nd.level}
-					accs[t] = a
-				}
+			sg := z.segs[nd.ref]
+			for _, t := range z.segTasks[sg.lo:sg.hi] {
+				a := &z.accs[t]
 				if !a.seen {
-					a.start = nd.start
-					a.seen = true
+					*a = acc{start: nd.start, minLevel: nd.level, seen: true}
 				} else if nd.start < a.start {
 					a.start = nd.start
 				}
@@ -550,12 +634,34 @@ func writeBack(s *model.System, sc *sched.Schedule, g *graph) {
 			}
 		}
 	}
-	for t, a := range accs {
-		slot := &sc.Tasks[t]
-		slot.Start = a.start
-		slot.Finish = a.finish
-		slot.VoltIdx = a.minLevel
-		slot.Energy = a.energyJ
+	for t := range z.accs {
+		if a := &z.accs[t]; a.seen {
+			slot := &sc.Tasks[t]
+			slot.Start = a.start
+			slot.Finish = a.finish
+			slot.VoltIdx = a.minLevel
+			slot.Energy = a.energyJ
+		}
 	}
 	sc.Makespan = makespan
+}
+
+// resize returns buf with length n, reusing its capacity; the contents are
+// unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		//mm:alloc-ok grows on first use; later calls reuse the capacity
+		return make([]T, n)
+	}
+	return buf[:n]
+}
+
+// fill returns buf with length n and every element set to v, reusing its
+// capacity.
+func fill[T any](buf []T, n int, v T) []T {
+	buf = resize(buf, n)
+	for i := range buf {
+		buf[i] = v
+	}
+	return buf
 }

@@ -302,6 +302,10 @@ type TaskGraph struct {
 
 	succ [][]EdgeID
 	pred [][]EdgeID
+	// order and orderErr cache TopoOrder: the graph is immutable after
+	// construction.
+	order    []TaskID
+	orderErr error
 }
 
 // NewTaskGraph builds a task graph and its adjacency indexes. It does not
@@ -319,6 +323,7 @@ func (g *TaskGraph) reindex() {
 		g.succ[e.Src] = append(g.succ[e.Src], e.ID)
 		g.pred[e.Dst] = append(g.pred[e.Dst], e.ID)
 	}
+	g.order, g.orderErr = g.topoSort()
 }
 
 // Task returns the task with the given ID, or nil when out of range.
@@ -345,8 +350,12 @@ func (g *TaskGraph) In(t TaskID) []EdgeID { return g.pred[t] }
 
 // TopoOrder returns the task IDs in a topological order, or an error if the
 // graph contains a cycle. The order is deterministic: among ready tasks the
-// smallest ID goes first.
-func (g *TaskGraph) TopoOrder() ([]TaskID, error) {
+// smallest ID goes first. It is computed once, when the graph is built; the
+// returned slice is shared and callers must not modify it.
+func (g *TaskGraph) TopoOrder() ([]TaskID, error) { return g.order, g.orderErr }
+
+// topoSort computes the order TopoOrder returns.
+func (g *TaskGraph) topoSort() ([]TaskID, error) {
 	n := len(g.Tasks)
 	indeg := make([]int, n)
 	for _, e := range g.Edges {

@@ -210,6 +210,26 @@ func TestTopoOrderDeterministicAmongReady(t *testing.T) {
 	}
 }
 
+// TestTopoOrderComputedOnce pins the cache: the order of the immutable
+// graph is computed at construction, so every call returns the same slice
+// and allocates nothing. Mobility analysis calls it on every evaluation.
+func TestTopoOrderComputedOnce(t *testing.T) {
+	g := NewTaskGraph(
+		[]*Task{{ID: 0}, {ID: 1}, {ID: 2}},
+		[]*Edge{{ID: 0, Src: 0, Dst: 1}, {ID: 1, Src: 1, Dst: 2}},
+	)
+	first, err := g.TopoOrder()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, _ := g.TopoOrder(); &again[0] != &first[0] {
+		t.Error("TopoOrder recomputed the order instead of returning the cached slice")
+	}
+	if avg := testing.AllocsPerRun(100, func() { _, _ = g.TopoOrder() }); avg != 0 {
+		t.Errorf("TopoOrder allocates %.1f times per call, want 0", avg)
+	}
+}
+
 func TestGraphAdjacency(t *testing.T) {
 	sys := minimalSystem(t)
 	g := sys.App.Modes[0].Graph

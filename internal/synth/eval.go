@@ -93,7 +93,8 @@ func (ev *Evaluation) Feasible() bool {
 // Evaluator computes fitnesses of multi-mode mappings for a fixed system.
 // Probs overrides the mode execution probabilities used in the objective —
 // the probability-neglecting baseline passes the uniform distribution; nil
-// uses the specification's probabilities.
+// uses the specification's probabilities. An Evaluator keeps scratch
+// buffers between calls and must not be used concurrently.
 type Evaluator struct {
 	Sys     *model.System
 	UseDVS  bool
@@ -122,6 +123,8 @@ type Evaluator struct {
 	timings obs.Timings
 	// ub caches PowerUpperBound of the system.
 	ub float64
+	// scaler keeps the voltage-selection buffers between evaluations.
+	scaler dvs.Scaler
 }
 
 // Timings returns the cumulative phase breakdown of every instrumented
@@ -291,7 +294,7 @@ func (e *Evaluator) Evaluate(mapping model.Mapping) (*Evaluation, error) {
 			if timed {
 				mark = time.Now()
 			}
-			dvs.ScaleWith(s, sc, dvs.Config{SoftwareOnly: e.DVSSoftwareOnly})
+			e.scaler.Scale(s, sc, dvs.Config{SoftwareOnly: e.DVSSoftwareOnly})
 			if timed {
 				span.DVS += time.Since(mark)
 			}

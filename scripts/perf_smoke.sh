@@ -1,11 +1,12 @@
 #!/bin/sh
 # perf_smoke.sh — end-to-end smoke test of the performance-trajectory
-# pipeline: run mmperf on a small spec at a tiny GA budget, then diff the
-# artifact against itself (which must be a clean exit 0) and against a
-# synthetically slowed copy (which must flag a regression, exit 1). A
-# schema or exit-code regression in the perf gate fails CI here even if no
-# unit test covers it. Also exercises the lifecycle span stream: mmserved
-# -lifecycle-trace through `mmtrace -lifecycle`. See docs/PERF.md.
+# pipeline: run mmperf on a small spec at a tiny GA budget, with and
+# without voltage scaling, then diff each artifact against itself (which
+# must be a clean exit 0) and the first against a synthetically slowed
+# copy (which must flag a regression, exit 1). A schema or exit-code
+# regression in the perf gate fails CI here even if no unit test covers
+# it. Also exercises the lifecycle span stream: mmserved -lifecycle-trace
+# through `mmtrace -lifecycle`. See docs/PERF.md.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -23,6 +24,12 @@ echo "==> measured run (mul1, 2 reps, tiny GA budget)"
 
 echo "==> self-diff is clean (exit 0)"
 "$workdir/mmperf" diff "$workdir/bench.json" "$workdir/bench.json"
+
+echo "==> DVS run (mul1, voltage scaling on) and its self-diff (exit 0)"
+"$workdir/mmperf" run -specs mul1 -dvs -reps 2 -warmups 0 \
+    -pop 12 -gens 8 -stagnation 5 \
+    -out "$workdir/bench_dvs.json"
+"$workdir/mmperf" diff "$workdir/bench_dvs.json" "$workdir/bench_dvs.json"
 
 echo "==> synthetic 10x wall-time regression is flagged (exit 1)"
 # Multiply every wall_ns in the artifact by 10 (uniformly, so the change
