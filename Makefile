@@ -48,13 +48,14 @@ fuzz-smoke:
 trace-smoke:
 	./scripts/trace_smoke.sh
 
-# Job-service smoke: boot mmserved on a free port, drive one synthesis job
-# over HTTP to a certified result, then SIGTERM and require a clean drain.
-# See docs/SERVER.md.
+# Job-service smoke: boot mmserved on a free port over a copy of the legacy
+# single-node fixture, require the converted jobs to serve and finish,
+# drive one synthesis job over HTTP to a certified result, then SIGTERM and
+# require a clean drain. See docs/SERVER.md.
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-# Fleet chaos smoke: two mmserved nodes on a shared fleet directory, four
+# Fleet chaos smoke: two mmserved nodes on a shared data directory, four
 # jobs, kill -9 one node mid-run; the survivor must finish every job
 # exactly once with certified results. See docs/FLEET.md.
 fleet-smoke:

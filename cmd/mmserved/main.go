@@ -6,19 +6,23 @@
 //
 //	mmserved -data /var/lib/mmserved
 //	mmserved -data ./run -addr 127.0.0.1:8080 -workers 4 -specs ./specs
-//	mmserved -fleet-dir /shared/fleet -node-id nodeA   # one node of a fleet
+//	mmserved -data /shared/mm -node-id nodeA   # one node of a fleet
 //
-// With -fleet-dir any number of mmserved processes pointed at the same
-// directory form a fault-tolerant fleet: jobs are claimed through
+// -data is the job store. A lone server is a fleet of one; any number of
+// mmserved processes pointed at the same directory under distinct
+// -node-id values form a fault-tolerant fleet: jobs are claimed through
 // epoch-numbered lease files, renewed by heartbeats, and recovered (from
 // their last checkpoint) by surviving nodes when a holder dies, hangs or
 // is partitioned. See docs/FLEET.md.
 //
 // Jobs checkpoint their engine state into the data directory; a restarted
-// server lists finished jobs, re-queues interrupted ones and resumes them
-// from their checkpoints. SIGINT/SIGTERM drain gracefully: submissions are
-// refused, running syntheses stop at the next generation boundary with a
-// final checkpoint, and the process exits 0.
+// server lists finished jobs and resumes interrupted ones from their
+// checkpoints. SIGINT/SIGTERM drain gracefully: submissions are refused,
+// running syntheses stop at the next generation boundary with a final
+// checkpoint, their leases are released so a restart claims them at once,
+// and the process exits 0. After a kill -9 a restart first waits out the
+// lease TTL. A data directory in the single-node layout of earlier
+// releases is converted in place at startup.
 //
 // Exit codes: 0 clean shutdown, 1 runtime failure, 2 usage error.
 package main
@@ -43,7 +47,7 @@ import (
 func main() {
 	var (
 		addr      = flag.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks a free port)")
-		dataDir   = flag.String("data", "", "data directory for job manifests, checkpoints and results (required)")
+		dataDir   = flag.String("data", "", "job store directory: job manifests, checkpoints, results and batch records; servers sharing it form a fleet (required)")
 		specDir   = flag.String("specs", "", "directory of named specifications clients may reference via spec_name")
 		workers   = flag.Int("workers", 2, "synthesis worker pool size")
 		queue     = flag.Int("queue", 16, "bounded job queue depth (full queue answers 429)")
@@ -52,11 +56,10 @@ func main() {
 		traceJobs = flag.Bool("trace-jobs", false, "write a JSONL run-trace per job into its data directory")
 		lifecycle = flag.String("lifecycle-trace", "", "append job-lifecycle span events (JSONL) to this file; readable with mmtrace -lifecycle")
 		accessLog = flag.String("access-log", "", "append a structured JSON access log (one line per request) to this file")
-		fleetDir  = flag.String("fleet-dir", "", "shared fleet directory; set on every node to run a multi-node fleet (see docs/FLEET.md)")
-		nodeID    = flag.String("node-id", "", "this node's fleet-wide unique ID (default <hostname>-<pid>)")
-		leaseTTL  = flag.Duration("lease-ttl", 5*time.Second, "fleet job lease time-to-live; a node silent this long loses its jobs")
-		heartbeat = flag.Duration("heartbeat", 0, "fleet lease renewal and scan interval (default lease-ttl/3)")
-		cacheDir  = flag.String("cache-dir", "", "content-addressed result cache directory; repeat submissions are answered instantly (fleet default: <fleet-dir>/cache, see docs/CACHE.md)")
+		nodeID    = flag.String("node-id", "", "this server's unique ID among those sharing -data (default <hostname>-<pid>)")
+		leaseTTL  = flag.Duration("lease-ttl", 5*time.Second, "job lease time-to-live; a node silent this long loses its jobs, and a restart after a crash waits this long (see docs/FLEET.md)")
+		heartbeat = flag.Duration("heartbeat", 0, "lease renewal and job-store scan interval (default lease-ttl/3)")
+		cacheDir  = flag.String("cache-dir", "", "content-addressed result cache directory, off by default; repeat submissions are answered instantly (see docs/CACHE.md)")
 		cacheMax  = flag.Int64("cache-max-bytes", 0, "result cache size cap; least-recently-used entries are evicted beyond it (0 = unbounded)")
 
 		maxAttempts   = flag.Int("max-attempts", 3, "per-job execution budget; a job failing this many times is quarantined")
@@ -72,8 +75,8 @@ func main() {
 	if flag.NArg() > 0 {
 		fatalUsage(fmt.Errorf("unexpected arguments %v", flag.Args()))
 	}
-	if *dataDir == "" && *fleetDir == "" {
-		fatalUsage(errors.New("-data is required (or -fleet-dir for fleet mode)"))
+	if *dataDir == "" {
+		fatalUsage(errors.New("-data is required"))
 	}
 	if *workers <= 0 || *queue <= 0 || *ckptEvery <= 0 {
 		fatalUsage(errors.New("-workers, -queue and -checkpoint-every must be positive"))
@@ -84,7 +87,7 @@ func main() {
 	if *jobTimeout < 0 || *watchdogStall < 0 || *watchdogGrace < 0 || *retryBackoff < 0 || *maxGens < 0 {
 		fatalUsage(errors.New("-job-timeout, -watchdog-stall, -watchdog-grace, -retry-backoff and -max-generations must not be negative"))
 	}
-	if *fleetDir != "" && *nodeID == "" {
+	if *nodeID == "" {
 		host, err := os.Hostname()
 		if err != nil || host == "" {
 			host = "node"
@@ -123,7 +126,6 @@ func main() {
 		AccessLog:       accessLogW,
 		Registry:        obs.NewRegistry(),
 		Logf:            logger.Printf,
-		FleetDir:        *fleetDir,
 		NodeID:          *nodeID,
 		LeaseTTL:        *leaseTTL,
 		Heartbeat:       *heartbeat,

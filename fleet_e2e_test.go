@@ -1,5 +1,5 @@
-// Process-level fleet torture tests: real mmserved processes sharing a
-// fleet directory, killed with SIGKILL mid-generation or stalled with
+// Process-level fleet torture tests: real mmserved processes sharing one
+// data directory, killed with SIGKILL mid-generation or stalled with
 // SIGSTOP past their lease TTL. Every job must still reach a certified
 // terminal state exactly once, and a resurrected stale node must fence
 // itself instead of clobbering reclaimed work. Run with -short to skip.
@@ -39,7 +39,7 @@ func fetchMetric(t *testing.T, base, name string) float64 {
 	return snap.Gauges[name]
 }
 
-// TestFleetKillNineTorture is the node-loss drill: two nodes share a fleet
+// TestFleetKillNineTorture is the node-loss drill: two nodes share a data
 // directory, four jobs go in, and one node is SIGKILLed while running.
 // The survivor must recover every orphaned job from its checkpoint and
 // finish all four — no job lost, no job completed twice.
@@ -59,13 +59,13 @@ func TestFleetKillNineTorture(t *testing.T) {
 
 	fleetArgs := func(node string) []string {
 		return []string{
-			"-fleet-dir", fleetDir, "-node-id", node,
+			"-node-id", node,
 			"-lease-ttl", "1s", "-heartbeat", "100ms",
 			"-workers", "2", "-checkpoint-every", "2",
 		}
 	}
-	victim, victimBase := startServed(t, bin, "", fleetArgs("victim")...)
-	_, survivorBase := startServed(t, bin, "", fleetArgs("survivor")...)
+	victim, victimBase := startServed(t, bin, fleetDir, fleetArgs("victim")...)
+	_, survivorBase := startServed(t, bin, fleetDir, fleetArgs("survivor")...)
 	cv := servedClient(t, victimBase)
 	cs := servedClient(t, survivorBase)
 	ctx, cancel := context.WithTimeout(context.Background(), 240*time.Second)
@@ -186,12 +186,12 @@ func TestFleetStalledNodeFences(t *testing.T) {
 
 	fleetArgs := func(node string) []string {
 		return []string{
-			"-fleet-dir", fleetDir, "-node-id", node,
+			"-node-id", node,
 			"-lease-ttl", "500ms", "-heartbeat", "100ms", "-workers", "1",
 		}
 	}
-	procA, baseA := startServed(t, bin, "", fleetArgs("nodeA")...)
-	procB, baseB := startServed(t, bin, "", fleetArgs("nodeB")...)
+	procA, baseA := startServed(t, bin, fleetDir, fleetArgs("nodeA")...)
+	procB, baseB := startServed(t, bin, fleetDir, fleetArgs("nodeB")...)
 	ctx, cancel := context.WithTimeout(context.Background(), 180*time.Second)
 	defer cancel()
 

@@ -1,14 +1,17 @@
 // Package durable is the one place momosyn writes files crash-safely.
 // Every record that must survive a crash — serve manifests, results and
 // batch records, runctl checkpoints, cas entries, fleet state — is written
-// through an FS, and every rename or link happens in the two helpers
-// below:
+// through an FS, and every rename or link happens in this package, mostly
+// in the two helpers below:
 //
 //   - WriteFileAtomic replaces a file: write+fsync a temp file, rename it
 //     over the destination, fsync the directory.
 //   - Publish creates a file exactly once: write+fsync a temp file, link it
 //     to the destination (a lost race leaves the winner's bytes in place),
 //     remove the temp, fsync the directory.
+//
+// OSFS.CreateExclusive links a synced temp file into place the same way,
+// but reports a lost race, for claims that must know who won.
 //
 // After a crash the destination holds either its old bytes or the new
 // ones, never a torn mix, and the directory entry cannot be lost to an
@@ -43,9 +46,10 @@ type FS interface {
 	// NOT atomic: callers wanting crash-atomicity use WriteFileAtomic or
 	// Publish.
 	WriteFile(path string, data []byte) error
-	// CreateExclusive atomically creates the file with O_CREATE|O_EXCL,
-	// writes data and syncs. It fails with a fs.ErrExist-wrapped error when
-	// the path already exists; exactly one concurrent caller can win.
+	// CreateExclusive atomically creates the file with its full, synced
+	// content: a concurrent reader sees no file or all of it, never a
+	// prefix. It fails with a fs.ErrExist-wrapped error when the path
+	// already exists; exactly one concurrent caller can win.
 	CreateExclusive(path string, data []byte) error
 	// Rename atomically moves oldPath over newPath.
 	Rename(oldPath, newPath string) error
@@ -102,23 +106,17 @@ func (OSFS) WriteFile(path string, data []byte) error {
 	return f.Close()
 }
 
-// CreateExclusive implements FS.
-func (OSFS) CreateExclusive(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
+// CreateExclusive implements FS: the content is written and synced under
+// a temp name, and the hard link that gives it its name is the exclusive
+// create. A peer deciding whether a fresh lease is live therefore never
+// reads one half written.
+func (o OSFS) CreateExclusive(path string, data []byte) error {
+	tmp := tempFor(path)
+	defer os.Remove(tmp)
+	if err := o.WriteFile(tmp, data); err != nil {
 		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(path)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(path)
-		return err
-	}
-	return f.Close()
+	return os.Link(tmp, path)
 }
 
 // Rename implements FS.

@@ -1,6 +1,6 @@
-// Package fleet is the shared-filesystem work-distribution layer behind
-// multi-node mmserved: any number of nodes observe the same fleet
-// directory, claim jobs by atomically creating epoch-numbered lease files,
+// Package fleet is the shared-filesystem job store behind mmserved: any
+// number of nodes — one, for a lone server — observe the same directory,
+// claim jobs by atomically creating epoch-numbered lease files,
 // renew their claims with heartbeats, and recover jobs whose holder died,
 // hung or was partitioned by claiming the next epoch once the lease
 // deadline passes.
@@ -161,7 +161,7 @@ func Open(cfg Config) (*Store, error) {
 		dir: cfg.Dir, node: cfg.Node, ttl: cfg.TTL,
 		fs: cfg.FS, reg: cfg.Registry, now: cfg.Now,
 	}
-	for _, sub := range []string{s.jobsDir(), s.nodesDir()} {
+	for _, sub := range []string{s.jobsDir(), s.nodesDir(), s.batchesDir()} {
 		if err := s.fs.MkdirAll(sub); err != nil {
 			return nil, fmt.Errorf("fleet: %w", err)
 		}
@@ -189,7 +189,11 @@ func (s *Store) Dir() string { return s.dir }
 
 func (s *Store) jobsDir() string          { return filepath.Join(s.dir, "jobs") }
 func (s *Store) nodesDir() string         { return filepath.Join(s.dir, "nodes") }
+func (s *Store) batchesDir() string       { return filepath.Join(s.dir, "batches") }
 func (s *Store) jobDir(job string) string { return filepath.Join(s.jobsDir(), job) }
+
+// JobDir returns the directory holding the job's files.
+func (s *Store) JobDir(job string) string { return s.jobDir(job) }
 
 func (s *Store) leasePath(job string, epoch int) string {
 	return filepath.Join(s.jobDir(job), fmt.Sprintf("%s%0*d", leasePrefix, epochDigits, epoch))
@@ -248,8 +252,7 @@ func parseStateName(name string) (Kind, int, bool) {
 
 // ---- job identity and submission ----
 
-// validFleetJobID matches the IDs the fleet mints (same shape as the
-// single-node server's).
+// validFleetJobID matches the IDs NewJobID mints.
 func validFleetJobID(id string) bool {
 	if len(id) < 2 || len(id) > 32 || id[0] != 'j' {
 		return false
@@ -270,27 +273,36 @@ func (s *Store) NewJobID() (string, error) {
 	if err != nil {
 		return "", err
 	}
+	return s.allocate("j", jobs, s.jobsDir(), func(id string) error { return s.fs.Mkdir(s.jobDir(id)) })
+}
+
+// allocate claims the next free ID of the form <prefix><6+ digits>: it
+// starts one past the highest of taken and walks forward while create
+// reports the ID as already taken (fs.ErrExist), so concurrent allocators
+// on different nodes never share one. The winner's entry in dir is fsynced
+// before the ID is returned.
+func (s *Store) allocate(prefix string, taken []string, dir string, create func(id string) error) (string, error) {
 	next := 1
-	for _, id := range jobs {
-		if n, err := strconv.Atoi(id[1:]); err == nil && n >= next {
+	for _, id := range taken {
+		if n, err := strconv.Atoi(id[len(prefix):]); err == nil && n >= next {
 			next = n + 1
 		}
 	}
 	for attempt := 0; attempt < 1000; attempt++ {
-		id := fmt.Sprintf("j%06d", next)
-		err := s.fs.Mkdir(s.jobDir(id))
+		id := fmt.Sprintf("%s%06d", prefix, next)
+		err := create(id)
 		if err == nil {
-			if serr := s.fs.SyncDir(s.jobsDir()); serr != nil {
-				return "", fmt.Errorf("fleet: new job: %w", serr)
+			if serr := s.fs.SyncDir(dir); serr != nil {
+				return "", fmt.Errorf("fleet: allocate %s: %w", id, serr)
 			}
 			return id, nil
 		}
 		if !errors.Is(err, fs.ErrExist) {
-			return "", fmt.Errorf("fleet: new job: %w", err)
+			return "", fmt.Errorf("fleet: allocate %s: %w", id, err)
 		}
 		next++
 	}
-	return "", errors.New("fleet: could not allocate a job ID after 1000 attempts")
+	return "", fmt.Errorf("fleet: could not allocate a %s ID after 1000 attempts", prefix)
 }
 
 // Jobs lists the fleet's job IDs in ascending order.
@@ -312,18 +324,12 @@ func (s *Store) Jobs() ([]string, error) {
 // CreateJob publishes a freshly allocated job: the immutable spec document
 // (exclusive create — a job is submitted once) and its epoch-0 queued
 // manifest, written by the submitter before any lease exists. Epoch 0 is
-// reserved for exactly this pre-claim write.
+// reserved for exactly this pre-claim write. The manifest lands atomically
+// and last, so a peer scanning the directory sees either no job yet or a
+// complete one. A failed publish removes the job directory again, leaving
+// the ID free for the next allocation.
 func (s *Store) CreateJob(job string, spec, manifest []byte) error {
-	if err := s.fs.CreateExclusive(s.SpecPath(job), spec); err != nil {
-		return fmt.Errorf("fleet: job %s spec: %w", job, err)
-	}
-	if err := s.fs.WriteFile(s.StatePath(job, KindManifest, 0), manifest); err != nil {
-		return fmt.Errorf("fleet: job %s manifest: %w", job, err)
-	}
-	if err := s.fs.SyncDir(s.jobDir(job)); err != nil {
-		return fmt.Errorf("fleet: job %s: %w", job, err)
-	}
-	return nil
+	return s.createJob(job, spec, manifest, nil)
 }
 
 // CreateDoneJob publishes a job that is born terminal — a submission
@@ -333,19 +339,36 @@ func (s *Store) CreateJob(job string, spec, manifest []byte) error {
 // (peers adopt a job from its manifest, so the result must already be in
 // place when the manifest appears). No lease ever exists for such a job.
 func (s *Store) CreateDoneJob(job string, spec, manifest, result []byte) error {
-	if err := s.fs.CreateExclusive(s.SpecPath(job), spec); err != nil {
-		return fmt.Errorf("fleet: job %s spec: %w", job, err)
+	return s.createJob(job, spec, manifest, result)
+}
+
+func (s *Store) createJob(job string, spec, manifest, result []byte) error {
+	err := s.fs.CreateExclusive(s.SpecPath(job), spec)
+	if err == nil && result != nil {
+		err = durable.WriteFileAtomic(s.fs, s.StatePath(job, KindResult, 0), result)
 	}
-	if err := s.fs.WriteFile(s.StatePath(job, KindResult, 0), result); err != nil {
-		return fmt.Errorf("fleet: job %s result: %w", job, err)
+	if err == nil {
+		err = durable.WriteFileAtomic(s.fs, s.StatePath(job, KindManifest, 0), manifest)
 	}
-	if err := s.fs.WriteFile(s.StatePath(job, KindManifest, 0), manifest); err != nil {
-		return fmt.Errorf("fleet: job %s manifest: %w", job, err)
-	}
-	if err := s.fs.SyncDir(s.jobDir(job)); err != nil {
-		return fmt.Errorf("fleet: job %s: %w", job, err)
+	if err != nil {
+		s.RemoveJob(job)
+		return fmt.Errorf("fleet: publish job %s: %w", job, err)
 	}
 	return nil
+}
+
+// RemoveJob deletes a job directory and everything in it (best-effort). It
+// is for backing out a publish that failed before the job became visible;
+// a published job is never removed.
+func (s *Store) RemoveJob(job string) {
+	dir := s.jobDir(job)
+	if names, err := s.fs.ReadDir(dir); err == nil {
+		for _, name := range names {
+			_ = s.fs.Remove(filepath.Join(dir, name))
+		}
+	}
+	_ = s.fs.Remove(dir)
+	_ = s.fs.SyncDir(s.jobsDir())
 }
 
 // Spec returns the job's immutable spec document.
@@ -467,6 +490,65 @@ func (s *Store) RemoveCheckpoints(job string) {
 	for _, e := range epochs {
 		_ = s.fs.Remove(s.StatePath(job, KindCheckpoint, e))
 	}
+}
+
+// ---- batch records ----
+
+// validBatchID matches the batch IDs CreateBatch mints.
+func validBatchID(id string) bool {
+	if len(id) < 7 || len(id) > 10 || id[0] != 'b' {
+		return false
+	}
+	for _, c := range id[1:] {
+		if c < '0' || c > '9' {
+			return false
+		}
+	}
+	return true
+}
+
+func (s *Store) batchPath(id string) string { return filepath.Join(s.batchesDir(), id+".json") }
+
+// CreateBatch allocates the next batch ID and stores the batch record
+// render returns for it. The record file is created exclusively — the
+// same way NewJobID claims a job directory — so records survive restarts
+// and two nodes can never hand out one ID twice.
+func (s *Store) CreateBatch(render func(id string) ([]byte, error)) (string, error) {
+	ids, err := s.Batches()
+	if err != nil {
+		return "", err
+	}
+	return s.allocate("b", ids, s.batchesDir(), func(id string) error {
+		data, err := render(id)
+		if err != nil {
+			return err
+		}
+		return s.fs.CreateExclusive(s.batchPath(id), data)
+	})
+}
+
+// Batches lists the stored batch IDs in ascending order.
+func (s *Store) Batches() ([]string, error) {
+	names, err := s.fs.ReadDir(s.batchesDir())
+	if err != nil {
+		return nil, fmt.Errorf("fleet: %w", err)
+	}
+	ids := names[:0]
+	for _, name := range names {
+		if id, ok := strings.CutSuffix(name, ".json"); ok && validBatchID(id) {
+			ids = append(ids, id)
+		}
+	}
+	sort.Strings(ids)
+	return ids, nil
+}
+
+// Batch returns the stored record of a batch.
+func (s *Store) Batch(id string) ([]byte, error) {
+	if !validBatchID(id) {
+		return nil, fmt.Errorf("fleet: invalid batch ID %q", id)
+	}
+	return s.fs.ReadFile(s.batchPath(id))
 }
 
 // ---- cancellation markers ----

@@ -250,11 +250,10 @@ type JobEvent struct {
 	// Attempt is the 1-based execution attempt this event belongs to; 0
 	// when the job has not started executing.
 	Attempt int `json:"attempt,omitempty"`
-	// Node is the service node that observed the transition; empty in
-	// single-node deployments.
+	// Node is the service node that observed the transition.
 	Node string `json:"node,omitempty"`
-	// Epoch is the fleet lease epoch under which the node held the job; 0
-	// outside fleet mode.
+	// Epoch is the lease epoch under which the node held the job; 0
+	// before any claim.
 	Epoch int `json:"epoch,omitempty"`
 	// DwellNs is the time spent in From (or, for checkpoint events, the
 	// snapshot save duration) in nanoseconds.

@@ -2,17 +2,15 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"net/http"
-	"os"
-	"path/filepath"
 	"regexp"
 	"strconv"
-	"strings"
 	"time"
 
-	"momosyn/internal/durable"
 	"momosyn/internal/model"
 	"momosyn/internal/specio"
 )
@@ -129,10 +127,6 @@ type BatchResultsView struct {
 	Results []BatchCellResult `json:"results"`
 	Next    string            `json:"next,omitempty"`
 }
-
-// batchID formats batch identifiers; the b prefix keeps them disjoint from
-// job IDs.
-func batchID(n int) string { return fmt.Sprintf("b%06d", n) }
 
 var batchIDRe = regexp.MustCompile(`^b[0-9]{6,9}$`)
 
@@ -299,14 +293,19 @@ func (s *Server) handleBatchSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
+	// The record is immutable and lands in the store before the batch ID
+	// is handed out, so every node (and a restart) can answer for it.
+	if _, err := s.store.CreateBatch(func(id string) ([]byte, error) {
+		b.ID = id
+		return json.MarshalIndent(b, "", "  ")
+	}); err != nil {
+		writeError(w, http.StatusInternalServerError, "persist batch: %v", err)
+		return
+	}
 	s.mu.Lock()
-	s.batchSeq++
-	b.ID = batchID(s.batchSeq)
 	s.batches[b.ID] = b
-	s.batchOrder = append(s.batchOrder, b.ID)
 	s.batchesGauge.Set(float64(len(s.batches)))
 	s.mu.Unlock()
-	s.persistBatch(b)
 
 	s.reg.Counter("serve.batches_submitted").Inc()
 	s.reg.Counter("serve.batch_cells").Add(uint64(len(b.Cells)))
@@ -348,12 +347,10 @@ func (s *Server) batchStatus(b *Batch) BatchStatusView {
 		}
 		jobs[c.Job] = true
 		v.Jobs++
-		s.mu.Lock()
-		j := s.jobs[c.Job]
-		s.mu.Unlock()
+		j := s.job(c.Job)
 		if j == nil {
-			// The job table lost a referenced job (foreign restart with a
-			// wiped data dir); surface it rather than undercounting.
+			// The store lost a referenced job (a wiped or damaged job
+			// directory); surface it rather than undercounting.
 			v.States["missing"]++
 			continue
 		}
@@ -368,6 +365,8 @@ func (s *Server) batchStatus(b *Batch) BatchStatusView {
 	return v
 }
 
+// lookupBatch resolves the {id} path segment, writing the 404 itself on a
+// miss. A batch another node created is read from the store on demand.
 func (s *Server) lookupBatch(w http.ResponseWriter, r *http.Request) *Batch {
 	id := r.PathValue("id")
 	if !validBatchID(id) {
@@ -377,6 +376,9 @@ func (s *Server) lookupBatch(w http.ResponseWriter, r *http.Request) *Batch {
 	s.mu.Lock()
 	b := s.batches[id]
 	s.mu.Unlock()
+	if b == nil {
+		b = s.loadBatch(id)
+	}
 	if b == nil {
 		writeError(w, http.StatusNotFound, "no such batch %q", id)
 		return nil
@@ -418,10 +420,7 @@ func (s *Server) handleBatchResults(w http.ResponseWriter, r *http.Request) {
 		cell := b.Cells[i]
 		entry := BatchCellResult{BatchCell: cell}
 		if cell.Job != "" {
-			s.mu.Lock()
-			j := s.jobs[cell.Job]
-			s.mu.Unlock()
-			if j != nil {
+			if j := s.job(cell.Job); j != nil {
 				snap := j.snapshot()
 				entry.State, entry.Cached = snap.State, snap.Cached
 				if snap.State.Terminal() {
@@ -451,77 +450,42 @@ func (s *Server) resultDocFor(j *Job) json.RawMessage {
 	return s.loadResultDoc(j)
 }
 
-// batchesDir is where single-node batches persist; fleet-mode batch
-// records are node-local and in-memory only (their child jobs, the
-// durable part, live in the fleet directory).
-func (s *Server) batchesDir() string {
-	if s.cfg.DataDir == "" {
-		return ""
+// loadBatches reads every batch record in the store at startup.
+func (s *Server) loadBatches() error {
+	ids, err := s.store.Batches()
+	if err != nil {
+		return err
 	}
-	return filepath.Join(s.cfg.DataDir, "batches")
+	for _, id := range ids {
+		s.loadBatch(id)
+	}
+	return nil
 }
 
-// persistBatch stores the immutable batch record; failures are logged, not
-// fatal (the batch merely loses restart durability, like job manifests).
-func (s *Server) persistBatch(b *Batch) {
-	dir := s.batchesDir()
-	if dir == "" {
-		return
-	}
-	data, err := json.MarshalIndent(b, "", "  ")
-	if err == nil {
-		err = s.cfg.FS.MkdirAll(dir)
-	}
-	if err == nil {
-		err = durable.WriteFileAtomic(s.cfg.FS, filepath.Join(dir, b.ID+".json"), data)
-	}
+// loadBatch reads one batch record from the store into the table and
+// returns the table's entry, or nil. A corrupt record is skipped with a
+// log line: the child jobs live on in the store either way.
+func (s *Server) loadBatch(id string) *Batch {
+	data, err := s.store.Batch(id)
 	if err != nil {
-		s.logf("serve: batch %s: persist: %v", b.ID, err)
-	}
-}
-
-// recoverBatches reloads persisted batch records at startup. Corrupt
-// records are skipped with a log line: the child jobs recover on their own
-// from their manifests either way.
-func (s *Server) recoverBatches() {
-	dir := s.batchesDir()
-	if dir == "" {
-		return
-	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		if !os.IsNotExist(err) {
-			s.logf("serve: recover batches: %v", err)
+		if !errors.Is(err, fs.ErrNotExist) {
+			s.logf("serve: batch %s: %v", id, err)
 		}
-		return
+		return nil
 	}
-	maxSeq := 0
-	for _, e := range entries {
-		name := e.Name()
-		id := strings.TrimSuffix(name, ".json")
-		if id == name || !validBatchID(id) {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			s.logf("serve: recover batch %s: %v", name, err)
-			continue
-		}
-		var b Batch
-		dec := json.NewDecoder(bytesReader(data))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&b); err != nil || b.ID != id {
-			s.logf("serve: recover batch %s: corrupt record (err %v); skipped", name, err)
-			continue
-		}
-		s.batches[b.ID] = &b
-		s.batchOrder = append(s.batchOrder, b.ID)
-		if n, err := strconv.Atoi(id[1:]); err == nil && n > maxSeq {
-			maxSeq = n
-		}
+	var b Batch
+	dec := json.NewDecoder(bytesReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&b); err != nil || b.ID != id {
+		s.logf("serve: batch %s: corrupt record (err %v); skipped", id, err)
+		return nil
 	}
-	if s.batchSeq < maxSeq {
-		s.batchSeq = maxSeq
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if prev := s.batches[id]; prev != nil {
+		return prev
 	}
+	s.batches[id] = &b
 	s.batchesGauge.Set(float64(len(s.batches)))
+	return &b
 }

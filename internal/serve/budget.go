@@ -199,8 +199,8 @@ type synthOutcome struct {
 // for longer than Config.WatchdogStall is cancelled (cause
 // errWatchdogStall); if it still has not returned after
 // Config.WatchdogGrace the slot is abandoned so the pool keeps serving —
-// the runaway goroutine leaks, but in fleet mode its late writes are
-// fenced and in single-node mode they can only touch its own checkpoint.
+// the runaway goroutine leaks, but its late writes are fenced by its lease
+// epoch.
 // abandoned reports the slot-abandonment case.
 func (s *Server) superviseSynthesis(ctx context.Context, cancel context.CancelCauseFunc, j *Job, run *obs.Run) (out synthOutcome, abandoned bool) {
 	outc := make(chan synthOutcome, 1)

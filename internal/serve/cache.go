@@ -2,18 +2,12 @@ package serve
 
 import (
 	"encoding/json"
-	"fmt"
 	"net/http"
-	"os"
-	"path/filepath"
 	"runtime/debug"
-	"time"
 
 	"momosyn/internal/cas"
-	"momosyn/internal/durable"
 	"momosyn/internal/ga"
 	"momosyn/internal/model"
-	"momosyn/internal/obs"
 	"momosyn/internal/specio"
 	"momosyn/internal/synth"
 )
@@ -23,8 +17,8 @@ import (
 // document under cas.Key(canonical spec, canonical options, engine
 // version) and every later submission of a semantically identical request
 // is answered terminally at admission — zero queue time, zero synthesis
-// work. In fleet mode the cache directory lives inside the fleet dir, so
-// a result computed by any node is a hit on every node. See docs/CACHE.md.
+// work. Nodes sharing one cache directory share their results: a result
+// computed by any node is a hit on every node. See docs/CACHE.md.
 
 // keyOptions builds the result-shaping synth.Options a request resolves
 // to. It is the single source of truth shared by the cache key and the
@@ -88,96 +82,25 @@ func rewriteCachedResult(raw json.RawMessage, id string) ([]byte, error) {
 	return json.MarshalIndent(&v, "", "  ")
 }
 
-// materializeCached answers a submission from a cache hit: it creates a
-// job that is terminal from birth and persists it exactly like a completed
-// run (same manifest and result layout, so restarts and fleet peers see a
+// materializeCached answers a submission from a cache hit: it publishes a
+// job that is terminal from birth, persisted exactly like a completed run
+// (same manifest and result documents, so restarts and fleet peers see a
 // normal done job). It returns (nil, nil) — no job, no error — when the
 // hit could not be materialised; the caller then falls through to a normal
 // run. A draining server refuses with the usual 503.
 func (s *Server) materializeCached(req JobRequest, system string, e *cas.Entry) (*Job, *admitError) {
-	now := time.Now()
-	var j *Job
-	if s.fleetStore != nil {
-		s.mu.Lock()
-		draining := s.draining
+	s.mu.Lock()
+	if s.draining {
 		s.mu.Unlock()
-		if draining {
-			return nil, admitErrorf(http.StatusServiceUnavailable, "server is shutting down")
-		}
-		id, err := s.fleetStore.NewJobID()
-		if err != nil {
-			s.logf("serve: cache hit for %s discarded: job id: %v", system, err)
-			return nil, nil
-		}
-		j = &Job{ID: id, Request: req, system: system}
-		j.state = StateDone
-		j.cached = true
-		j.created, j.finished = now, now
-		j.node = s.cfg.NodeID
-		doc, err := rewriteCachedResult(e.Result, id)
-		if err != nil {
-			s.logf("serve: cache hit for %s discarded: result document: %v", system, err)
-			return nil, nil
-		}
-		spec, err := json.MarshalIndent(&req, "", "  ")
-		if err != nil {
-			return nil, nil
-		}
-		man, err := s.fleetManifest(j, j.snapshot(), 0)
-		if err != nil {
-			return nil, nil
-		}
-		if err := s.fleetStore.CreateDoneJob(id, spec, man, doc); err != nil {
-			s.logf("serve: cache hit for %s discarded: publish: %v", system, err)
-			return nil, nil
-		}
-		s.mu.Lock()
-		s.jobs[id] = j
-		s.order = append(s.order, id)
-		s.jobsByState()
-		s.mu.Unlock()
-	} else {
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			return nil, admitErrorf(http.StatusServiceUnavailable, "server is shutting down")
-		}
-		id := jobID(s.seq + 1)
-		doc, err := rewriteCachedResult(e.Result, id)
-		if err != nil {
-			s.mu.Unlock()
-			s.logf("serve: cache hit for %s discarded: result document: %v", system, err)
-			return nil, nil
-		}
-		j = &Job{ID: id, Request: req, dir: s.jobDir(id), system: system}
-		j.state = StateDone
-		j.cached = true
-		j.created, j.finished = now, now
-		err = s.makeJobDir(j.dir)
-		if err == nil {
-			err = durable.WriteFileAtomic(s.cfg.FS, filepath.Join(j.dir, resultFile), doc)
-		}
-		if err == nil {
-			err = s.persist(j)
-		}
-		if err != nil {
-			s.mu.Unlock()
-			os.RemoveAll(j.dir)
-			s.logf("serve: cache hit for %s discarded: persist: %v", system, err)
-			return nil, nil
-		}
-		s.seq++
-		s.jobs[id] = j
-		s.order = append(s.order, id)
-		s.jobsByState()
-		s.mu.Unlock()
+		return nil, admitErrorf(http.StatusServiceUnavailable, "server is shutting down")
+	}
+	j, err := s.publishLocked(req, system, e)
+	s.mu.Unlock()
+	if err != nil {
+		s.logf("serve: cache hit for %s discarded: %v", system, err)
+		return nil, nil
 	}
 	s.reg.Counter("serve.jobs_submitted").Inc()
-	if s.lifecycleTracing() {
-		s.emitJobSpan(obs.JobEvent{Job: j.ID, Event: obs.JobCached,
-			State: string(StateDone), Node: s.cfg.NodeID,
-			Detail: fmt.Sprintf("key %.12s", e.Key)})
-	}
 	return j, nil
 }
 

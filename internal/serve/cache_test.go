@@ -15,7 +15,7 @@ import (
 	"momosyn/internal/serve"
 )
 
-// cacheServer boots a single-node server with the result cache enabled,
+// cacheServer boots a server with the result cache enabled,
 // per-job run tracing on (so a synthesis that runs leaves a trace.jsonl
 // with run_start) and lifecycle tracing captured into buf. The returned
 // stop drains the server and flushes the buffered lifecycle sink — the
@@ -71,10 +71,15 @@ func TestCacheHitResubmission(t *testing.T) {
 	if got := metricValue(t, a, "serve.cache_misses"); got != 1 {
 		t.Fatalf("serve.cache_misses = %v, want 1", got)
 	}
-	// The first job ran for real: its trace has a run_start event.
-	firstTrace, err := os.ReadFile(filepath.Join(dataDir, "jobs", first.ID, "trace.jsonl"))
+	// The first job ran for real: its trace (one file per lease epoch) has
+	// a run_start event.
+	traces, _ := filepath.Glob(filepath.Join(dataDir, "jobs", first.ID, "trace.e*.jsonl"))
+	if len(traces) != 1 {
+		t.Fatalf("first job left %d run traces %v, want 1", len(traces), traces)
+	}
+	firstTrace, err := os.ReadFile(traces[0])
 	if err != nil {
-		t.Fatalf("first job left no run trace: %v", err)
+		t.Fatalf("first job's run trace: %v", err)
 	}
 	if !strings.Contains(string(firstTrace), `"run_start"`) {
 		t.Fatal("first job's trace has no run_start event; the zero-work check below would be vacuous")
@@ -96,8 +101,8 @@ func TestCacheHitResubmission(t *testing.T) {
 		t.Fatalf("serve.cache_hits = %v, want 1", got)
 	}
 	// Zero synthesis work: the cached job owns no run trace at all.
-	if _, err := os.Stat(filepath.Join(dataDir, "jobs", second.ID, "trace.jsonl")); !os.IsNotExist(err) {
-		t.Fatalf("cached job has a run trace (stat err %v); it must never have run", err)
+	if traces, _ := filepath.Glob(filepath.Join(dataDir, "jobs", second.ID, "trace*")); len(traces) != 0 {
+		t.Fatalf("cached job has run traces %v; it must never have run", traces)
 	}
 	var secondRes serve.ResultView
 	if resp := a.do("GET", "/v1/jobs/"+second.ID+"/result", nil, &secondRes); resp.StatusCode != http.StatusOK {
@@ -239,18 +244,20 @@ func findCacheEntry(t *testing.T, cacheDir string) string {
 	return entry
 }
 
-// TestFleetCacheSharing proves the fleet-wide cache: a result computed on
-// node A is a terminal cache hit for the same submission on node B, with
-// the result document served through the shared fleet directory.
+// TestFleetCacheSharing proves the fleet-wide cache: with both nodes
+// pointed at one cache directory, a result computed on node A is a
+// terminal cache hit for the same submission on node B, with the result
+// document served through the shared data directory.
 func TestFleetCacheSharing(t *testing.T) {
 	dir := t.TempDir()
 	spec := tinySpec(t)
+	cacheDir := filepath.Join(dir, "cache")
 
-	_, a := fleetServer(t, dir, "nodeA", serve.Config{Workers: 1})
+	_, a := fleetServer(t, dir, "nodeA", serve.Config{Workers: 1, CacheDir: cacheDir})
 	first := a.submit(quickJob(spec, 21))
 	a.await(first.ID, "done on nodeA", stateIs(serve.StateDone))
 
-	_, b := fleetServer(t, dir, "nodeB", serve.Config{Workers: 1})
+	_, b := fleetServer(t, dir, "nodeB", serve.Config{Workers: 1, CacheDir: cacheDir})
 	second := b.submit(quickJob(spec, 21))
 	if second.State != serve.StateDone || !second.Cached {
 		t.Fatalf("nodeB resubmission = state %s cached %v, want done/cached", second.State, second.Cached)
@@ -276,7 +283,7 @@ func TestFleetCacheSharing(t *testing.T) {
 }
 
 // TestCacheDisabledByDefault pins the opt-in contract: without CacheDir a
-// single-node server never caches, and identical resubmissions run twice.
+// server never caches, and identical resubmissions run twice.
 func TestCacheDisabledByDefault(t *testing.T) {
 	spec := tinySpec(t)
 	s := newServer(t, serve.Config{Workers: 1, QueueDepth: 8})

@@ -18,12 +18,12 @@ import (
 	"momosyn/internal/serve"
 )
 
-var manifestRe = regexp.MustCompile(`manifest\.json`)
+var manifestRe = regexp.MustCompile(`manifest\.e[0-9]+\.json`)
 
-// TestAdmissionDurability: single-node admission fsyncs data/jobs right
-// after creating the job directory, and a job whose queued manifest cannot
-// be written is refused with a 500 and leaves no directory behind — a 202
-// must survive a restart.
+// TestAdmissionDurability: admission fsyncs data/jobs right after creating
+// the job directory, and a job whose queued manifest cannot be written is
+// refused with a 500 and leaves no directory behind — a 202 must survive a
+// restart.
 func TestAdmissionDurability(t *testing.T) {
 	dataDir := t.TempDir()
 	jobsDir := filepath.Join(dataDir, "jobs")
@@ -92,15 +92,29 @@ func TestCacheHitManifestFailureRunsJob(t *testing.T) {
 	}
 }
 
+// mutatingOnly hands reads straight to the real filesystem, so the chaos
+// layer journals — and counts crash points over — only the operations that
+// change the disk. A crash at a read leaves the same disk as a crash at the
+// next mutating operation, so the sweep loses no crash state by it.
+type mutatingOnly struct{ *chaosfs.FS }
+
+func (mutatingOnly) ReadFile(path string) ([]byte, error)  { return durable.OSFS{}.ReadFile(path) }
+func (mutatingOnly) ReadDir(path string) ([]string, error) { return durable.OSFS{}.ReadDir(path) }
+
 // TestTerminalPersistCrashSweep crashes the filesystem at each operation of
 // the worker's terminal persist (result, cache publish, manifest,
-// checkpoint removal) and reopens the data directory, as after a kill -9.
-// The job must come back either re-queued or done with a result that
-// parses — never done without a result.
+// checkpoint removal, lease release) and reopens the data directory, as
+// after a kill -9. The job must come back done with a result that parses —
+// either at once, or after the reopened server waits out the dead run's
+// lease and runs it again — never done without a result.
 func TestTerminalPersistCrashSweep(t *testing.T) {
 	spec := tinySpec(t)
+	const ttl = 200 * time.Millisecond
 	// run executes one job over a chaos filesystem with crash armed at the
-	// given operation index (0: no crash) and returns the journal.
+	// given mutating operation (0: no crash) and returns the journal. The
+	// hour-long heartbeat keeps periodic scans and lease renewals out of
+	// the journal, so the clean and the crashed runs line up operation by
+	// operation.
 	run := func(t *testing.T, dataDir string, crashAt int) (string, []chaosfs.Record) {
 		t.Helper()
 		cfs := chaosfs.New(durable.OSFS{})
@@ -108,11 +122,15 @@ func TestTerminalPersistCrashSweep(t *testing.T) {
 			cfs.Inject(chaosfs.Rule{Countdown: crashAt, Kind: chaosfs.KindCrash, KeepBytes: -1})
 		}
 		s := newServer(t, serve.Config{Workers: 1, DataDir: dataDir,
-			CacheDir: filepath.Join(dataDir, "cache"), FS: cfs})
+			CacheDir: filepath.Join(dataDir, "cache"), FS: mutatingOnly{cfs},
+			LeaseTTL: ttl, Heartbeat: time.Hour})
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		s.Start(ctx)
 		a := newAPI(t, s)
+		// The claim loop's first scan writes the node heartbeat; let it
+		// finish before the job's own writes begin.
+		eventually(t, "first scan", func() bool { return metricValue(t, a, "fleet.live_nodes") >= 1 })
 		j := a.submit(quickJob(spec, 4))
 		a.await(j.ID, "terminal", stateIs(serve.StateDone))
 		sctx, scancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -143,7 +161,7 @@ func TestTerminalPersistCrashSweep(t *testing.T) {
 	_, clean := run(t, t.TempDir(), 0)
 	first := -1
 	for i, rec := range clean {
-		if strings.Contains(rec.Path, "result.json") {
+		if strings.Contains(rec.Path, "result.e") {
 			first = i
 			break
 		}
@@ -159,22 +177,21 @@ func TestTerminalPersistCrashSweep(t *testing.T) {
 				t.Fatalf("crash landed off target: want %q at op %d, journal %v", shape(clean[i]), i, journal)
 			}
 
-			s := newServer(t, serve.Config{Workers: 1, DataDir: dataDir, CacheDir: filepath.Join(dataDir, "cache")})
-			a := newAPI(t, s)
-			v := a.status(id)
-			switch v.State {
-			case serve.StateQueued:
-			case serve.StateDone:
-				var res serve.ResultView
-				if resp := a.do("GET", "/v1/jobs/"+id+"/result", nil, &res); resp.StatusCode != http.StatusOK {
-					t.Fatalf("recovered done job serves no result: status %d", resp.StatusCode)
+			_, a := startServer(t, serve.Config{Workers: 1, DataDir: dataDir,
+				CacheDir: filepath.Join(dataDir, "cache"), LeaseTTL: ttl, Heartbeat: 20 * time.Millisecond})
+			a.await(id, "done", stateIs(serve.StateDone))
+			var res serve.ResultView
+			if resp := a.do("GET", "/v1/jobs/"+id+"/result", nil, &res); resp.StatusCode != http.StatusOK {
+				t.Fatalf("recovered done job serves no result: status %d", resp.StatusCode)
+			}
+			results, _ := filepath.Glob(filepath.Join(dataDir, "jobs", id, "result.e*.json"))
+			if len(results) == 0 {
+				t.Fatal("recovered done job has no result document on disk")
+			}
+			for _, path := range results {
+				if raw, err := os.ReadFile(path); err != nil || !json.Valid(raw) {
+					t.Fatalf("result document %s does not parse (err %v): %q", filepath.Base(path), err, raw)
 				}
-				raw, err := os.ReadFile(filepath.Join(dataDir, "jobs", id, "result.json"))
-				if err != nil || !json.Valid(raw) {
-					t.Fatalf("recovered done job's result.json does not parse (err %v): %q", err, raw)
-				}
-			default:
-				t.Fatalf("recovered job state = %s, want queued or done", v.State)
 			}
 		})
 	}

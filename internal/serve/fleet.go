@@ -13,34 +13,16 @@ import (
 	"momosyn/internal/synth"
 )
 
-// Fleet mode. With Config.FleetDir set the server becomes one node of a
-// shared-filesystem fleet: submissions publish jobs into the fleet
-// directory instead of a private queue, a claim loop leases runnable jobs
-// to the local worker pool, heartbeats renew the leases, and every persist
-// of job state is fenced by the lease epoch so a node that died, hung or
-// was partitioned can never clobber the state of a job another node
-// reclaimed. See docs/FLEET.md for the protocol and its failure matrix.
+// The job store. Every server publishes its jobs into the fleet.Store over
+// Config.DataDir: a claim loop leases runnable jobs to the local worker
+// pool, heartbeats renew the leases, and every persist of job state is
+// fenced by the lease epoch, so a node that died, hung or was partitioned
+// can never clobber the state of a job another node (or its own restart)
+// reclaimed. A lone server is a fleet of one. See docs/FLEET.md for the
+// protocol and its failure matrix.
 
-// fleetManifestValid accepts a fleet manifest document for the given job.
-func fleetManifestValid(job string) func([]byte) error {
-	return func(data []byte) error {
-		var m manifest
-		if err := json.Unmarshal(data, &m); err != nil {
-			return err
-		}
-		if m.ID != job {
-			return fmt.Errorf("manifest names job %q, want %q", m.ID, job)
-		}
-		if !m.State.valid() {
-			return fmt.Errorf("unknown state %q", m.State)
-		}
-		return nil
-	}
-}
-
-// fleetManifest renders the job's manifest for a fleet persist at the
-// given epoch.
-func (s *Server) fleetManifest(j *Job, snap jobSnapshot, epoch int) ([]byte, error) {
+// manifest renders the job's manifest for a persist at the given epoch.
+func (s *Server) manifest(j *Job, snap jobSnapshot, epoch int) ([]byte, error) {
 	m := manifest{
 		ID:          j.ID,
 		Request:     j.Request,
@@ -59,66 +41,71 @@ func (s *Server) fleetManifest(j *Job, snap jobSnapshot, epoch int) ([]byte, err
 	return json.MarshalIndent(&m, "", "  ")
 }
 
-// submitFleet publishes a new job into the fleet directory. The caller has
-// already validated the request, resolved the spec inline and checked
-// admission.
-func (s *Server) submitFleet(req JobRequest, system string) (*Job, error) {
-	id, err := s.fleetStore.NewJobID()
-	if err != nil {
-		return nil, err
+// persist writes the job's manifest through the lease fence. On fence
+// rejection the job is marked fenced; other write failures are logged
+// only: the job keeps serving from the in-memory table and merely loses
+// restart durability.
+func (s *Server) persist(j *Job, lease *fleet.Lease, snap jobSnapshot) {
+	data, err := s.manifest(j, snap, lease.Epoch)
+	if err == nil {
+		err = lease.Write(fleet.KindManifest, data)
 	}
-	j := &Job{ID: id, Request: req, system: system}
-	j.state = StateQueued
-	j.created = time.Now()
-	j.node = s.cfg.NodeID
-	spec, err := json.MarshalIndent(&req, "", "  ")
-	if err != nil {
-		return nil, err
+	switch {
+	case err == nil:
+	case errors.Is(err, fleet.ErrLeaseLost):
+		s.fence(j, nil, err)
+	default:
+		s.logf("serve: job %s: persist manifest: %v", j.ID, err)
 	}
-	man, err := s.fleetManifest(j, j.snapshot(), 0)
-	if err != nil {
-		return nil, err
-	}
-	if err := s.fleetStore.CreateJob(id, spec, man); err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.jobs[id] = j
-	s.order = append(s.order, id)
-	s.jobsByState()
-	s.mu.Unlock()
-	return j, nil
 }
 
-// fleetLoop is the node's coordination loop: it refreshes the local view
-// of the shared directory, advertises node liveness, claims runnable jobs
-// for free worker slots and maintains the fleet gauges. It runs until the
-// root context dies.
-func (s *Server) fleetLoop(ctx context.Context) {
+// claimLoop is the node's coordination loop: a full scan every Heartbeat
+// refreshes the local view of the store, advertises node liveness, claims
+// runnable jobs for free worker slots and maintains the fleet gauges; a
+// wake-up between scans (a submission, a finished run) only claims. It
+// runs until the root context dies.
+func (s *Server) claimLoop(ctx context.Context) {
 	defer func() {
 		if p := recover(); p != nil {
-			s.logf("serve: fleet loop crashed: %v", p)
+			s.logf("serve: claim loop crashed: %v", p)
 		}
 	}()
 	defer s.wg.Done()
 	ticker := time.NewTicker(s.cfg.Heartbeat)
 	defer ticker.Stop()
+	full := true
 	for {
-		s.fleetTick(ctx)
+		if full {
+			s.scan(ctx)
+		} else {
+			s.claimRunnable(ctx)
+		}
 		select {
 		case <-ctx.Done():
 			return
 		case <-ticker.C:
+			full = true
+		case <-s.wake:
+			full = false
 		}
 	}
 }
 
-// fleetTick is one pass of the coordination loop.
-func (s *Server) fleetTick(ctx context.Context) {
-	if err := s.fleetStore.HeartbeatNode(); err != nil {
+// wakeClaims prompts the claim loop to claim now. Wake-ups coalesce: one
+// pending is enough.
+func (s *Server) wakeClaims() {
+	select {
+	case s.wake <- struct{}{}:
+	default:
+	}
+}
+
+// scan is one full pass of the claim loop.
+func (s *Server) scan(ctx context.Context) {
+	if err := s.store.HeartbeatNode(); err != nil {
 		s.logf("serve: fleet: node heartbeat: %v", err)
 	}
-	if err := s.syncFleet(); err != nil {
+	if err := s.syncJobs(); err != nil {
 		s.logf("serve: fleet: sync: %v", err)
 		s.fleetDegraded.Set(1)
 		return
@@ -127,11 +114,12 @@ func (s *Server) fleetTick(ctx context.Context) {
 	s.updateFleetGauges()
 }
 
-// syncFleet reconciles the in-memory job table with the fleet directory:
-// unknown jobs are adopted, and jobs this node is not itself holding are
-// refreshed from their latest valid manifest.
-func (s *Server) syncFleet() error {
-	ids, err := s.fleetStore.Jobs()
+// syncJobs reconciles the in-memory job table with the store: unknown
+// jobs are adopted, and unfinished jobs this node is not itself holding
+// are refreshed from their latest valid manifest. A terminal manifest is
+// final, so terminal jobs are never read again.
+func (s *Server) syncJobs() error {
+	ids, err := s.store.Jobs()
 	if err != nil {
 		return err
 	}
@@ -140,16 +128,14 @@ func (s *Server) syncFleet() error {
 		j := s.jobs[id]
 		s.mu.Unlock()
 		if j == nil {
-			if _, err := s.adoptFleetJob(id); err != nil {
-				s.logf("serve: fleet: adopt %s: %v", id, err)
-			}
+			s.adopt(id)
 			continue
 		}
 		j.mu.Lock()
-		local := j.lease != nil
+		skip := j.lease != nil || j.state.Terminal()
 		j.mu.Unlock()
-		if !local {
-			if err := s.refreshFleetJob(j, false); err != nil {
+		if !skip {
+			if err := s.refresh(j, false); err != nil {
 				s.logf("serve: fleet: refresh %s: %v", id, err)
 			}
 		}
@@ -160,28 +146,69 @@ func (s *Server) syncFleet() error {
 	return nil
 }
 
-// adoptFleetJob builds the local view of a job another node (or an earlier
+// job returns the table's entry for id, adopting the job from the store
+// when this node has not seen it yet — so a job published through any
+// node is visible through every node as soon as its manifest lands. It
+// returns nil for unknown, unpublished or unreadable jobs.
+func (s *Server) job(id string) *Job {
+	if !validJobID(id) {
+		return nil
+	}
+	s.mu.Lock()
+	j := s.jobs[id]
+	s.mu.Unlock()
+	if j == nil {
+		j = s.adopt(id)
+	}
+	return j
+}
+
+// adopt builds the local view of a job another node (or an earlier
 // incarnation of this one) published and enters it into the job table. It
 // returns the table's entry, which is an earlier adopter's when a
-// concurrent adoption of the same job won.
-func (s *Server) adoptFleetJob(id string) (*Job, error) {
-	j, err := s.readFleetJob(id)
+// concurrent adoption of the same job won, or nil when the job cannot be
+// read: not yet published (no manifest yet — a submitter is mid-publish)
+// or damaged (every manifest epoch corrupt, or the spec unreadable). A
+// damaged job is counted once in serve.manifests_skipped; later scans try
+// it again quietly, so one whose read failed only transiently returns.
+func (s *Server) adopt(id string) *Job {
+	j, err := s.readJob(id)
 	if err != nil {
-		return nil, err
+		if epochs, _ := s.store.Epochs(id, fleet.KindManifest); len(epochs) > 0 {
+			s.skipUnreadable(id, err)
+		}
+		return nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if prev := s.jobs[id]; prev != nil {
-		return prev, nil
+		return prev
 	}
 	s.jobs[id] = j
 	s.order = append(s.order, id)
-	return j, nil
+	return j
 }
 
-// readFleetJob reads a published job's spec and latest valid manifest.
-func (s *Server) readFleetJob(id string) (*Job, error) {
-	spec, err := s.fleetStore.Spec(id)
+// skipUnreadable records a job that cannot be read: counted once in
+// serve.manifests_skipped (surfaced on /readyz) and logged once.
+func (s *Server) skipUnreadable(id string, cause error) {
+	s.mu.Lock()
+	seen := s.unreadable[id]
+	s.unreadable[id] = true
+	s.mu.Unlock()
+	if !seen {
+		s.reg.Counter("serve.manifests_skipped").Inc()
+		s.logf("serve: skipping job %s: %v", id, cause)
+	}
+}
+
+// readJob reads a published job's latest valid manifest and its spec.
+func (s *Server) readJob(id string) (*Job, error) {
+	m, err := s.latestManifest(id)
+	if err != nil {
+		return nil, err
+	}
+	spec, err := s.store.Spec(id)
 	if err != nil {
 		return nil, err
 	}
@@ -189,31 +216,34 @@ func (s *Server) readFleetJob(id string) (*Job, error) {
 	if err := json.Unmarshal(spec, &req); err != nil {
 		return nil, fmt.Errorf("spec document: %w", err)
 	}
-	data, _, err := s.fleetStore.Latest(id, fleet.KindManifest, fleetManifestValid(id))
-	if err != nil {
-		return nil, err
-	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, err
-	}
 	// system is set before the job becomes visible to handlers, which read
 	// it without the job lock by the immutability convention.
 	j := &Job{ID: id, Request: req, system: m.System}
-	j.applyManifest(&m)
+	j.mu.Lock()
+	j.applyManifestLocked(m)
+	j.mu.Unlock()
 	return j, nil
 }
 
-// refreshFleetJob overwrites the job's mutable view from its latest valid
+// latestManifest returns the job's newest manifest that decodes.
+func (s *Server) latestManifest(id string) (*manifest, error) {
+	var m manifest
+	_, _, err := s.store.Latest(id, fleet.KindManifest, func(data []byte) error {
+		m = manifest{} // a rejected newer epoch must leave no fields behind
+		return decodeManifest(data, id, &m)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return &m, nil
+}
+
+// refresh overwrites the job's mutable view from its latest valid
 // manifest. Unless held is set it refuses to touch a job this node holds a
 // lease on — the local run owns that view.
-func (s *Server) refreshFleetJob(j *Job, held bool) error {
-	data, _, err := s.fleetStore.Latest(j.ID, fleet.KindManifest, fleetManifestValid(j.ID))
+func (s *Server) refresh(j *Job, held bool) error {
+	m, err := s.latestManifest(j.ID)
 	if err != nil {
-		return err
-	}
-	var m manifest
-	if err := json.Unmarshal(data, &m); err != nil {
 		return err
 	}
 	j.mu.Lock()
@@ -221,15 +251,8 @@ func (s *Server) refreshFleetJob(j *Job, held bool) error {
 	if j.lease != nil && !held {
 		return nil // raced with a local claim
 	}
-	j.applyManifestLocked(&m)
-	return nil
-}
-
-// applyManifest copies the manifest's mutable fields into the job.
-func (j *Job) applyManifest(m *manifest) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
 	j.applyManifestLocked(m)
+	return nil
 }
 
 func (j *Job) applyManifestLocked(m *manifest) {
@@ -251,6 +274,17 @@ func (j *Job) applyManifestLocked(m *manifest) {
 	}
 	j.node = m.Node
 	j.cached = m.Cached
+}
+
+// budgetSpentLocked reports whether the job has no attempt left: a running
+// manifest without a live holder means that attempt died with its node and
+// counts too. j.mu must be held.
+func (s *Server) budgetSpentLocked(j *Job) bool {
+	attempts := j.attempts
+	if j.state == StateRunning {
+		attempts++
+	}
+	return attempts >= s.cfg.MaxAttempts
 }
 
 // claimRunnable claims jobs for this node's free capacity and enqueues
@@ -296,11 +330,11 @@ func (s *Server) claimRunnable(ctx context.Context) {
 // claimJob attempts to lease one job and hand it to the local pool. It
 // returns true when a worker slot was consumed.
 func (s *Server) claimJob(j *Job) bool {
-	cs, err := s.fleetStore.ClaimState(j.ID)
+	cs, err := s.store.ClaimState(j.ID)
 	if err != nil || cs.Held {
 		return false
 	}
-	lease, err := s.fleetStore.Claim(j.ID)
+	lease, err := s.store.Claim(j.ID)
 	if err != nil {
 		if !errors.Is(err, fleet.ErrUnavailable) {
 			s.logf("serve: fleet: claim %s: %v", j.ID, err)
@@ -314,78 +348,39 @@ func (s *Server) claimJob(j *Job) bool {
 	// Post-claim re-check: the previous holder may have committed a
 	// terminal state between our scan and our claim. Never re-run (or
 	// cancel) a finished job.
-	if err := s.refreshFleetJob(j, true); err != nil {
+	if err := s.refresh(j, true); err != nil {
 		s.logf("serve: fleet: claim %s: manifest: %v", j.ID, err)
 		s.dropLease(j, lease)
 		return false
 	}
 	j.mu.Lock()
-	terminal := j.state.Terminal()
 	prev := j.state
+	if prev.Terminal() {
+		j.mu.Unlock()
+		s.dropLease(j, lease)
+		return false
+	}
 	// A stolen running manifest means the previous holder's execution died
 	// with it (crash, hang, partition): that attempt is spent. The counter
 	// rides the manifests, so a poison job burns one budget fleet-wide no
-	// matter which nodes execute it.
-	stolenRunning := !terminal && j.state == StateRunning
+	// matter which nodes execute it — or how often one server restarts.
+	quarantine := s.budgetSpentLocked(j)
+	stolenRunning := prev == StateRunning
 	if stolenRunning {
 		j.attempts++
 	}
-	quarantine := !terminal && j.attempts >= s.cfg.MaxAttempts
-	attempts := j.attempts
-	lastErr := j.err
+	attempts, lastErr := j.attempts, j.err
 	j.mu.Unlock()
-	if terminal {
-		s.dropLease(j, lease)
-		return false
-	}
 	if quarantine {
 		// Budget exhausted: commit the terminal quarantine manifest at our
 		// epoch instead of re-running. No node will claim it again.
-		j.mu.Lock()
-		j.state = StateQuarantined
-		j.err = quarantineCause(attempts, fmt.Errorf("attempt died with its node (last error: %s)", orNone(lastErr)))
-		j.finished = time.Now()
-		j.node = s.cfg.NodeID
-		cause := j.err
-		var dwellNs int64
-		if s.lifecycleTracing() {
-			dwellNs = j.dwellLocked(j.finished)
-		}
-		j.mu.Unlock()
-		s.emitTerminal(j, prev, StateQuarantined, attempts, dwellNs, lease.Epoch, cause)
-		if data, merr := s.fleetManifest(j, j.snapshot(), lease.Epoch); merr == nil {
-			if werr := lease.Write(fleet.KindManifest, data); werr != nil {
-				s.logf("serve: fleet: quarantine %s: %v", j.ID, werr)
-			}
-		}
-		s.reg.Counter("serve.jobs_quarantined").Inc()
-		s.quarWindow.record(time.Now())
-		s.logf("serve: fleet: job %s quarantined after %d attempts", j.ID, attempts)
-		s.fleetStore.RemoveCheckpoints(j.ID)
-		s.dropLease(j, lease)
+		cause := quarantineCause(attempts, fmt.Errorf("attempt died with its node (last error: %s)", orNone(lastErr)))
+		s.settle(j, lease, prev, StateQuarantined, cause)
 		return false
 	}
 	// A cancel marker on a not-yet-running job terminates it on the spot.
-	if s.fleetStore.CancelRequested(j.ID) {
-		j.mu.Lock()
-		j.state = StateCancelled
-		j.err = ""
-		j.finished = time.Now()
-		j.cancelRequested = true
-		j.node = s.cfg.NodeID
-		var dwellNs int64
-		if s.lifecycleTracing() {
-			dwellNs = j.dwellLocked(j.finished)
-		}
-		j.mu.Unlock()
-		s.emitTerminal(j, prev, StateCancelled, attempts, dwellNs, lease.Epoch, "cancelled by client")
-		if data, merr := s.fleetManifest(j, j.snapshot(), lease.Epoch); merr == nil {
-			if werr := lease.Write(fleet.KindManifest, data); werr != nil {
-				s.logf("serve: fleet: cancel %s: %v", j.ID, werr)
-			}
-		}
-		s.reg.Counter("serve.jobs_cancelled").Inc()
-		s.dropLease(j, lease)
+	if s.store.CancelRequested(j.ID) {
+		s.settle(j, lease, prev, StateCancelled, "")
 		return false
 	}
 	j.mu.Lock()
@@ -410,17 +405,51 @@ func (s *Server) claimJob(j *Job) bool {
 		// Make the consumed attempt durable (as queued, at our epoch) before
 		// the job runs again, so a chain of node deaths cannot launder the
 		// budget away.
-		s.fleetPersist(j)
+		s.persist(j, lease, j.snapshot())
 	}
 	select {
 	case s.queue <- j:
-		s.qDepth.Set(float64(len(s.queue)))
 		return true
 	default:
 		// The pool filled up between the capacity check and here; back out.
 		s.dropLease(j, lease)
 		return false
 	}
+}
+
+// settle commits a terminal state for a claimed job that will not run —
+// its attempt budget is spent (state quarantined, cause set) or it was
+// cancelled before it started — and lets the lease go.
+func (s *Server) settle(j *Job, lease *fleet.Lease, from, state State, cause string) {
+	detail := cause
+	j.mu.Lock()
+	j.state = state
+	j.err = cause
+	j.finished = time.Now()
+	j.node = s.cfg.NodeID
+	if state == StateCancelled {
+		j.cancelRequested = true
+		detail = "cancelled by client"
+	}
+	attempts := j.attempts
+	var dwellNs int64
+	if s.lifecycleTracing() {
+		dwellNs = j.dwellLocked(j.finished)
+	}
+	snap := j.snapshotLocked()
+	j.mu.Unlock()
+	s.emitTerminal(j, from, state, attempts, dwellNs, lease.Epoch, detail)
+	s.persist(j, lease, snap)
+	s.countTerminal(state)
+	if state == StateQuarantined {
+		s.quarWindow.record(time.Now())
+		s.logf("serve: job %s quarantined after %d attempts", j.ID, attempts)
+		s.store.RemoveCheckpoints(j.ID)
+	}
+	s.dropLease(j, lease)
+	s.mu.Lock()
+	s.jobsByState()
+	s.mu.Unlock()
 }
 
 // dropLease releases a lease and detaches it from the job. Release
@@ -437,10 +466,27 @@ func (s *Server) dropLease(j *Job, l *fleet.Lease) {
 	j.mu.Unlock()
 }
 
+// releaseUnstarted lets go of the leases of claimed jobs no worker took
+// before the pool stopped, so a restart (or a peer) claims them at once.
+func (s *Server) releaseUnstarted() {
+	for {
+		select {
+		case j := <-s.queue:
+			j.mu.Lock()
+			lease := j.lease
+			j.mu.Unlock()
+			if lease != nil {
+				s.dropLease(j, lease)
+			}
+		default:
+			return
+		}
+	}
+}
+
 // updateFleetGauges recomputes the fleet summary gauges the claim loop and
-// /readyz report: unclaimed queue depth, jobs awaiting lease recovery
-// (latest manifest says running but no live lease protects them), and the
-// live node count.
+// /readyz report: jobs awaiting lease recovery (latest manifest says
+// running but no live lease protects them) and the live node count.
 func (s *Server) updateFleetGauges() {
 	s.mu.Lock()
 	jobs := make([]*Job, 0, len(s.order))
@@ -450,31 +496,24 @@ func (s *Server) updateFleetGauges() {
 		}
 	}
 	s.mu.Unlock()
-	queued, recovering := 0, 0
+	recovering := 0
 	for _, j := range jobs {
 		j.mu.Lock()
-		state, local := j.state, j.lease != nil
+		orphan := j.state == StateRunning && j.lease == nil
 		j.mu.Unlock()
-		if local || state.Terminal() {
+		if !orphan {
 			continue
 		}
-		cs, err := s.fleetStore.ClaimState(j.ID)
-		if err != nil || cs.Held {
-			continue
-		}
-		if state == StateRunning {
-			// Its holder stopped renewing: the job is down until some node
-			// (maybe this one, next tick) claims and resumes it.
+		// Its holder stopped renewing: the job is down until some node
+		// (maybe this one, next scan) claims and resumes it.
+		if cs, err := s.store.ClaimState(j.ID); err == nil && !cs.Held {
 			recovering++
-		} else {
-			queued++
 		}
 	}
-	live, err := s.fleetStore.LiveNodes()
+	live, err := s.store.LiveNodes()
 	if err != nil {
 		s.logf("serve: fleet: live nodes: %v", err)
 	}
-	s.qDepth.Set(float64(queued))
 	s.fleetRecovering.Set(float64(recovering))
 	s.fleetLiveNodes.Set(float64(live))
 	if recovering > 0 {
@@ -486,11 +525,11 @@ func (s *Server) updateFleetGauges() {
 
 // ---- fenced execution plumbing ----
 
-// fleetHeartbeat renews the job's lease until stop is closed, watching for
+// heartbeat renews the job's lease until stop is closed, watching for
 // fencing (a higher epoch appeared: abandon the run immediately) and for
 // the job's cancel marker. It runs as a goroutine owned by the job's
 // worker; done is closed when it exits.
-func (s *Server) fleetHeartbeat(cancelJob context.CancelCauseFunc, j *Job, lease *fleet.Lease, stop <-chan struct{}, done chan<- struct{}) {
+func (s *Server) heartbeat(cancelJob context.CancelCauseFunc, j *Job, lease *fleet.Lease, stop <-chan struct{}, done chan<- struct{}) {
 	defer func() {
 		if p := recover(); p != nil {
 			s.logf("serve: fleet: heartbeat for %s crashed: %v", j.ID, p)
@@ -505,7 +544,7 @@ func (s *Server) fleetHeartbeat(cancelJob context.CancelCauseFunc, j *Job, lease
 			return
 		case <-ticker.C:
 		}
-		if s.fleetStore.CancelRequested(j.ID) {
+		if s.store.CancelRequested(j.ID) {
 			j.requestCancel(errors.New("cancelled by client (fleet marker)"))
 		}
 		if err := lease.Renew(); err != nil {
@@ -552,44 +591,17 @@ func (s *Server) fence(j *Job, cancelJob context.CancelCauseFunc, cause error) {
 	}
 }
 
-// fleetPersist writes the job's manifest through the lease fence. On fence
-// rejection the job is marked fenced; other write failures are logged like
-// single-node persist failures.
-func (s *Server) fleetPersist(j *Job) { s.fleetPersistSnap(j, j.snapshot()) }
-
-// fleetPersistSnap is fleetPersist with an explicit snapshot (see
-// persistSnap).
-func (s *Server) fleetPersistSnap(j *Job, snap jobSnapshot) {
-	j.mu.Lock()
-	lease := j.lease
-	j.mu.Unlock()
-	if lease == nil {
-		return
-	}
-	data, err := s.fleetManifest(j, snap, lease.Epoch)
-	if err == nil {
-		err = lease.Write(fleet.KindManifest, data)
-	}
-	switch {
-	case err == nil:
-	case errors.Is(err, fleet.ErrLeaseLost):
-		s.fence(j, nil, err)
-	default:
-		s.logf("serve: fleet: job %s: persist manifest: %v", j.ID, err)
-	}
-}
-
-// fleetCheckpointing wires the job's synthesis options for fenced,
+// checkpointing wires the job's synthesis options for fenced,
 // fault-injectable checkpointing: resume comes from the newest epoch whose
 // checkpoint still loads (corrupt epochs degrade to the last good one),
 // and every save lands at this lease's epoch behind a fence check.
-func (s *Server) fleetCheckpointing(j *Job, lease *fleet.Lease, opts *synth.Options) error {
+func (s *Server) checkpointing(j *Job, lease *fleet.Lease, opts *synth.Options) error {
 	opts.CheckpointPath = lease.StatePath(fleet.KindCheckpoint)
 	opts.CheckpointSave = func(p string, cp *runctl.Checkpoint) error {
 		return lease.Fenced(func() error { return runctl.SaveFS(s.cfg.FS, p, cp) })
 	}
 	var latest *runctl.Checkpoint
-	path, epoch, err := s.fleetStore.LatestPath(j.ID, fleet.KindCheckpoint, func(p string) error {
+	path, epoch, err := s.store.LatestPath(j.ID, fleet.KindCheckpoint, func(p string) error {
 		cp, lerr := runctl.Load(p)
 		if lerr != nil {
 			return lerr

@@ -1,26 +1,31 @@
 package serve_test
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"os"
 	"path/filepath"
-	"sort"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
 
+	"momosyn/internal/durable"
+	"momosyn/internal/durable/chaosfs"
 	"momosyn/internal/fleet"
 	"momosyn/internal/obs"
+	"momosyn/internal/runctl"
 	"momosyn/internal/serve"
 )
 
 // fleetServer builds and starts one node of a fleet over dir.
 func fleetServer(t *testing.T, dir, node string, cfg serve.Config) (*serve.Server, *api) {
 	t.Helper()
-	cfg.FleetDir = dir
+	cfg.DataDir = dir
 	cfg.NodeID = node
 	if cfg.Workers == 0 {
 		cfg.Workers = 1
@@ -103,16 +108,18 @@ func TestFleetTwoNodesCompleteJobs(t *testing.T) {
 		}
 	}
 
-	// The structured readiness document carries the fleet section.
+	// The structured readiness document carries the fleet section. Jobs
+	// are claimed on submission, so they may all finish before nodeA's
+	// next scan counts nodeB as live: wait for that scan.
 	var ready serve.ReadyView
-	if resp := a.do("GET", "/readyz", nil, &ready); resp.StatusCode != http.StatusOK {
-		t.Fatalf("/readyz: status %d", resp.StatusCode)
-	}
-	if ready.Status != "ready" || ready.Fleet == nil || ready.Fleet.Node != "nodeA" {
+	eventually(t, "both nodes heartbeating", func() bool {
+		if resp := a.do("GET", "/readyz", nil, &ready); resp.StatusCode != http.StatusOK {
+			t.Fatalf("/readyz: status %d", resp.StatusCode)
+		}
+		return ready.Fleet != nil && ready.Fleet.LiveNodes >= 2
+	})
+	if ready.Status != "ready" || ready.Fleet.Node != "nodeA" {
 		t.Fatalf("/readyz = %+v, want ready with fleet section for nodeA", ready)
-	}
-	if ready.Fleet.LiveNodes < 2 {
-		t.Fatalf("live_nodes = %d, want both nodes heartbeating", ready.Fleet.LiveNodes)
 	}
 	// The fleet counters are exported through /metrics.
 	if got := metricValue(t, a, "fleet.claims") + metricValue(t, b, "fleet.claims"); got < 3 {
@@ -294,69 +301,255 @@ func TestFleetDurableCancel(t *testing.T) {
 	a.await(j.ID, "cancelled via the marker", stateIs(serve.StateCancelled))
 }
 
-// TestSingleNodeLayoutUnchanged pins the PR 5 on-disk contract: without
-// fleet flags, a finished job's directory holds exactly the classic
-// manifest.json and result.json, and the manifest carries no fleet fields.
-func TestSingleNodeLayoutUnchanged(t *testing.T) {
-	spec := tinySpec(t)
-	dataDir := t.TempDir()
-	s := newServer(t, serve.Config{Workers: 1, QueueDepth: 4, DataDir: dataDir})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	s.Start(ctx)
-	t.Cleanup(func() {
-		cancel()
-		sctx, scancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer scancel()
-		_ = s.Shutdown(sctx)
-	})
-	a := newAPI(t, s)
-
-	j := a.submit(quickJob(spec, 1))
-	v := a.await(j.ID, "done", stateIs(serve.StateDone))
-	if v.Node != "" {
-		t.Fatalf("single-node status advertises a node ID: %q", v.Node)
-	}
-
-	// The done state becomes visible before the worker finishes settling
-	// the directory (result write, checkpoint removal), so poll for the
-	// final layout instead of reading it once.
-	var names []string
-	want := []string{"manifest.json", "result.json"}
-	eventually(t, fmt.Sprintf("job dir settles to %v", want), func() bool {
-		entries, err := os.ReadDir(filepath.Join(dataDir, "jobs", j.ID))
+// copyTree copies the directory tree at src into dst.
+func copyTree(t *testing.T, src, dst string) {
+	t.Helper()
+	err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
-			return false
+			return err
 		}
-		names = names[:0]
-		for _, e := range entries {
-			names = append(names, e.Name())
+		rel, err := filepath.Rel(src, path)
+		if err != nil {
+			return err
 		}
-		sort.Strings(names)
-		return len(names) == len(want) && names[0] == want[0] && names[1] == want[1]
+		if d.IsDir() {
+			return os.MkdirAll(filepath.Join(dst, rel), 0o755)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dst, rel), data, 0o644)
 	})
-
-	raw, err := os.ReadFile(filepath.Join(dataDir, "jobs", j.ID, "manifest.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
+}
+
+// TestSingleNodeLayoutUnchanged pins the migration contract for data
+// directories in the single-node layout of earlier releases
+// (jobs/<id>/manifest.json, result.json and job.ckpt, plus
+// batches/<id>.json). The committed fixture testdata/legacy-data holds one
+// job in each state — done (j000001), cached-done (j000002), failed
+// (j000003), quarantined (j000004), a batch child (j000005), running with a
+// checkpoint when its server was killed (j000006), queued (j000007) — a
+// damaged manifest (j000008) and one batch record. Opening it converts
+// every job in place to the job store layout: finished jobs serve their
+// result documents byte for byte, the killed run resumes from its
+// checkpoint generation with the dead attempt counted, the queued job
+// runs, the damaged job is counted and skipped, and the batch still
+// answers. New IDs continue past the legacy ones.
+func TestSingleNodeLayoutUnchanged(t *testing.T) {
+	const fixture = "testdata/legacy-data"
+	dataDir := t.TempDir()
+	copyTree(t, fixture, dataDir)
+	legacy := func(id, name string) []byte {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(fixture, "jobs", id, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	ckpt, err := runctl.Load(filepath.Join(fixture, "jobs", "j000006", "job.ckpt"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	for _, fleetKey := range []string{"node", "epoch", "attempts", "not_before", "cached"} {
-		if _, ok := m[fleetKey]; ok {
-			t.Fatalf("single-node manifest grew a field %q: %s", fleetKey, raw)
+
+	_, a := startServer(t, serve.Config{Workers: 2, DataDir: dataDir,
+		Heartbeat: 50 * time.Millisecond, LeaseTTL: time.Second})
+
+	// The layout is converted: no legacy names remain on any readable job.
+	for _, id := range []string{"j000001", "j000002", "j000003", "j000004", "j000005", "j000006", "j000007"} {
+		for _, name := range []string{"manifest.json", "result.json", "job.ckpt"} {
+			if _, err := os.Stat(filepath.Join(dataDir, "jobs", id, name)); !os.IsNotExist(err) {
+				t.Errorf("job %s still has legacy %s (stat err %v)", id, name, err)
+			}
+		}
+		if _, err := os.Stat(filepath.Join(dataDir, "jobs", id, "spec.json")); err != nil {
+			t.Errorf("job %s has no spec document: %v", id, err)
 		}
 	}
 
-	// And the readiness document has no fleet section.
-	var ready serve.ReadyView
-	if resp := a.do("GET", "/readyz", nil, &ready); resp.StatusCode != http.StatusOK {
-		t.Fatalf("/readyz: status %d", resp.StatusCode)
+	// Finished jobs keep their state and serve their result documents byte
+	// for byte.
+	for id, want := range map[string]serve.State{
+		"j000001": serve.StateDone, "j000002": serve.StateDone, "j000003": serve.StateFailed,
+		"j000004": serve.StateQuarantined, "j000005": serve.StateDone,
+	} {
+		if v := a.status(id); v.State != want {
+			t.Fatalf("job %s is %s, want %s", id, v.State, want)
+		}
+		if want == serve.StateQuarantined {
+			continue
+		}
+		resp, err := http.Get(a.ts.URL + "/v1/jobs/" + id + "/result")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("result %s: status %d, err %v", id, resp.StatusCode, err)
+		}
+		if !bytes.Equal(body, legacy(id, "result.json")) {
+			t.Fatalf("result %s differs from its legacy result.json:\n%s", id, body)
+		}
 	}
-	if ready.Status != "ready" || ready.Fleet != nil {
-		t.Fatalf("single-node /readyz = %+v, want ready with no fleet section", ready)
+	if v := a.status("j000002"); !v.Cached {
+		t.Fatal("the cached-done job lost its cached mark")
+	}
+
+	// The run killed mid-flight resumes from its checkpoint generation; the
+	// attempt that died with its server counts.
+	v := a.await("j000006", "resumed", func(v serve.StatusView) bool {
+		return v.State == serve.StateRunning && v.ResumedFrom > 0
+	})
+	if v.ResumedFrom != ckpt.Snapshot.Generation {
+		t.Fatalf("resumed from generation %d, want the checkpoint's %d", v.ResumedFrom, ckpt.Snapshot.Generation)
+	}
+	if v.Attempts != 1 {
+		t.Fatalf("attempts = %d, want 1 (the run that died with its server)", v.Attempts)
+	}
+
+	// The queued job runs to a certified result.
+	a.await("j000007", "done", stateIs(serve.StateDone))
+	var res serve.ResultView
+	if resp := a.do("GET", "/v1/jobs/j000007/result", nil, &res); resp.StatusCode != http.StatusOK {
+		t.Fatalf("result j000007: status %d", resp.StatusCode)
+	}
+	if res.Certification == nil || !res.Certification.Certified {
+		t.Fatalf("queued legacy job finished uncertified: %+v", res.Certification)
+	}
+
+	// The damaged job is counted once and neither listed nor served.
+	if got := metricValue(t, a, "serve.manifests_skipped"); got != 1 {
+		t.Fatalf("serve.manifests_skipped = %v, want 1", got)
+	}
+	var list serve.ListView
+	a.do("GET", "/v1/jobs", nil, &list)
+	if list.Total != 7 {
+		t.Fatalf("listed %d jobs, want the 7 readable legacy jobs", list.Total)
+	}
+	if resp := a.do("GET", "/v1/jobs/j000008", nil, nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("damaged job: status %d, want 404", resp.StatusCode)
+	}
+
+	// The batch record answers from its old place.
+	var batch serve.BatchStatusView
+	if resp := a.do("GET", "/v1/batches/b000001", nil, &batch); resp.StatusCode != http.StatusOK {
+		t.Fatalf("legacy batch: status %d", resp.StatusCode)
+	}
+	if batch.Cells != 1 || batch.Jobs != 1 || !batch.Complete {
+		t.Fatalf("legacy batch = %+v, want one complete cell", batch)
+	}
+
+	// New IDs continue past the legacy ones.
+	if j := a.submit(quickJob(tinySpec(t), 1)); j.ID != "j000009" {
+		t.Fatalf("new job ID %s, want j000009", j.ID)
+	}
+	var nb serve.BatchSubmitView
+	resp := a.do("POST", "/v1/batches", serve.BatchRequest{
+		Specs: []serve.BatchSpecRef{{Spec: tinySpec(t)}}, Seeds: []int64{2}, Options: []serve.JobRequest{quickOption()},
+	}, &nb)
+	if resp.StatusCode != http.StatusAccepted || nb.ID != "b000002" {
+		t.Fatalf("new batch: status %d ID %q, want 202 b000002", resp.StatusCode, nb.ID)
+	}
+
+	// Stop the endless resumed run.
+	a.do("DELETE", "/v1/jobs/j000006", nil, nil)
+	a.await("j000006", "cancelled", stateIs(serve.StateCancelled))
+}
+
+// TestClaimOnWake: with an hour between scans, a submission and a finished
+// run still get their jobs claimed at once — the claim loop wakes on both.
+// Two jobs on one worker: the first is claimed on submission, the second
+// when the first run frees the slot.
+func TestClaimOnWake(t *testing.T) {
+	spec := tinySpec(t)
+	_, a := startServer(t, serve.Config{Workers: 1, Heartbeat: time.Hour, LeaseTTL: 2 * time.Hour})
+	// Let the scan at start-up pass first, so only a wake-up can claim.
+	eventually(t, "first scan", func() bool { return metricValue(t, a, "fleet.live_nodes") >= 1 })
+	start := time.Now()
+	j1 := a.submit(quickJob(spec, 1))
+	j2 := a.submit(quickJob(spec, 2))
+	for _, id := range []string{j1.ID, j2.ID} {
+		for a.status(id).State != serve.StateDone {
+			if time.Since(start) > 10*time.Second {
+				t.Fatalf("job %s is %s after %v; the claim loop did not wake", id, a.status(id).State, time.Since(start))
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+}
+
+// TestScanSkipsTerminalManifests: a terminal manifest is final, so the
+// periodic scan must not read the manifests of finished jobs again.
+func TestScanSkipsTerminalManifests(t *testing.T) {
+	spec := tinySpec(t)
+	dataDir := t.TempDir()
+	cfs := chaosfs.New(durable.OSFS{})
+	_, a := startServer(t, serve.Config{Workers: 1, DataDir: dataDir, FS: cfs,
+		Heartbeat: 20 * time.Millisecond})
+	j := a.submit(quickJob(spec, 1))
+	a.await(j.ID, "done", stateIs(serve.StateDone))
+
+	cfs.Reset()
+	nodeFile := regexp.MustCompile(`nodes/.*\.json`)
+	eventually(t, "three scans", func() bool { return cfs.Ops(chaosfs.OpRename, nodeFile) >= 3 })
+	doneManifests := regexp.MustCompile(regexp.QuoteMeta(j.ID) + `/manifest\.e[0-9]+\.json$`)
+	if n := cfs.Ops(chaosfs.OpRead, doneManifests); n != 0 {
+		t.Fatalf("scans read the done job's manifest %d times, want 0", n)
+	}
+	if n := cfs.Ops(chaosfs.OpReadDir, nil); n == 0 {
+		t.Fatal("no scan listed the store; the check above is vacuous")
+	}
+}
+
+// TestUnreadableJobCounted: a job whose every manifest epoch is damaged is
+// counted once in serve.manifests_skipped, named on /readyz, and neither
+// listed nor served — however many scans pass over it.
+func TestUnreadableJobCounted(t *testing.T) {
+	dataDir := t.TempDir()
+	st := bareStore(t, dataDir, "writer", time.Minute, nil)
+	id, err := st.NewJobID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	specDoc, err := json.Marshal(quickJob(tinySpec(t), 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.CreateJob(id, specDoc, []byte(`{"id":"`+id+`","state":`)); err != nil {
+		t.Fatal(err)
+	}
+	lease, err := st.Claim(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lease.Write(fleet.KindManifest, []byte(`{"id":"j999999","state":"queued"}`)); err != nil {
+		t.Fatal(err)
+	}
+
+	cfs := chaosfs.New(durable.OSFS{})
+	_, a := startServer(t, serve.Config{DataDir: dataDir, FS: cfs, Heartbeat: 20 * time.Millisecond})
+	nodeFile := regexp.MustCompile(`nodes/.*\.json`)
+	eventually(t, "three scans", func() bool { return cfs.Ops(chaosfs.OpRename, nodeFile) >= 3 })
+	if got := metricValue(t, a, "serve.manifests_skipped"); got != 1 {
+		t.Fatalf("serve.manifests_skipped = %v, want 1", got)
+	}
+	var ready serve.ReadyView
+	a.do("GET", "/readyz", nil, &ready)
+	if ready.Status != "degraded" || ready.ManifestsSkipped != 1 {
+		t.Fatalf("readyz = %+v, want degraded with manifests_skipped 1", ready)
+	}
+	var list serve.ListView
+	a.do("GET", "/v1/jobs", nil, &list)
+	if list.Total != 0 {
+		t.Fatalf("listed %d jobs, want none", list.Total)
+	}
+	if resp := a.do("GET", "/v1/jobs/"+id, nil, nil); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("unreadable job: status %d, want 404", resp.StatusCode)
 	}
 }
 

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -17,8 +16,7 @@ import (
 // a job so a restarted server can resume it from its checkpoint, and
 // running → queued with a retry delay when an attempt fails but the job
 // still has attempt budget left. A job whose failures exhaust the budget
-// lands in quarantined — terminal, never re-enqueued, locally or by a
-// stealing fleet node.
+// lands in quarantined — terminal, never claimed again by any node.
 type State string
 
 // The job states.
@@ -104,12 +102,11 @@ type Progress struct {
 }
 
 // Job is one synthesis job owned by the server. The mutex guards every
-// mutable field; the identity fields (ID, Request, dir) are immutable
+// mutable field; the identity fields (ID, Request, system) are immutable
 // after construction.
 type Job struct {
 	ID      string
 	Request JobRequest
-	dir     string
 	// system is the specification's system name, resolved at submission
 	// (or recovery) time for display.
 	system string
@@ -128,8 +125,8 @@ type Job struct {
 	// continued from; 0 for fresh runs.
 	resumedFrom int
 	// attempts counts failed executions so far (in-process failures, and
-	// executions presumed dead at recovery or fleet steal time). It stays 0
-	// on the happy path, keeping non-retried manifests unchanged.
+	// executions presumed dead when their expired lease is stolen). It
+	// stays 0 on the happy path.
 	attempts int
 	// notBefore delays the next attempt of a failed-but-retryable job
 	// (exponential backoff); zero when the job is runnable immediately.
@@ -143,20 +140,20 @@ type Job struct {
 	// obsRun is the per-job instrumentation run whose registry carries the
 	// live GA gauges; nil until the job first runs.
 	obsRun *obs.Run
-	// lease is this node's claim on the job (fleet mode); nil while the job
-	// is unclaimed, held elsewhere, or the server is single-node.
+	// lease is this node's claim on the job; nil while the job is unclaimed
+	// or held elsewhere.
 	lease *fleet.Lease
 	// fenced marks a run abandoned because a higher lease epoch appeared;
 	// nothing from it may be persisted.
 	fenced bool
-	// node is the fleet node that owns (or last owned) the job, for
-	// display; empty in single-node mode.
+	// node is the node that owns (or last owned) the job, for display;
+	// empty for jobs converted from the legacy single-node layout.
 	node string
 	// cached marks a job that was born terminal from the result cache: it
 	// never queued, never ran, and owns no checkpoint or trace state.
 	cached bool
 	// sys and result hold the in-memory outcome for result rendering; jobs
-	// recovered from disk serve their persisted result.json instead.
+	// read from the store serve their persisted result document instead.
 	sys    *model.System
 	result *synth.Result
 }
@@ -214,8 +211,8 @@ type StatusView struct {
 	Attempts int `json:"attempts,omitempty"`
 	// RetryAt is when a failed-but-retryable job becomes runnable again.
 	RetryAt string `json:"retry_at,omitempty"`
-	// Node is the fleet node owning (or that last owned) the job; empty in
-	// single-node mode.
+	// Node is the node owning (or that last owned) the job; empty for jobs
+	// converted from the legacy single-node layout.
 	Node string `json:"node,omitempty"`
 	// Cached marks a job answered from the content-addressed result cache:
 	// it was terminal at submission and burned no synthesis work.
@@ -306,6 +303,3 @@ func validJobID(id string) bool {
 	}
 	return true
 }
-
-// jobID renders sequence number n as a job identifier.
-func jobID(n int) string { return fmt.Sprintf("j%06d", n) }

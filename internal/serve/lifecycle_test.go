@@ -160,7 +160,8 @@ func TestRecoveryQuarantinesCrashLoop(t *testing.T) {
 	spec := tinySpec(t)
 
 	// Hand-write what a twice-failed, mid-third-attempt job leaves behind
-	// when its server dies: a running manifest carrying attempts=2.
+	// when its server dies: a running manifest carrying attempts=2 (in the
+	// legacy single-node layout, which the server converts on open).
 	dir := filepath.Join(dataDir, "jobs", "j000001")
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
@@ -175,25 +176,29 @@ func TestRecoveryQuarantinesCrashLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Recovery alone decides: the server is never started, so a running
-	// state below could only mean a re-enqueued execution.
-	s := newServer(t, serve.Config{DataDir: dataDir, MaxAttempts: 3})
-	a := newAPI(t, s)
-	v := a.status("j000001")
-	if v.State != serve.StateQuarantined {
-		t.Fatalf("recovered crash-looper is %s, want quarantined", v.State)
+	// The claim loop decides when it claims the orphaned run, and it must
+	// not execute the job: attempts_total stays 0.
+	s, a := startServer(t, serve.Config{DataDir: dataDir, MaxAttempts: 3})
+	if got := metricValue(t, a, "serve.jobs_requeued"); got != 0 {
+		t.Fatalf("serve.jobs_requeued = %v, want 0", got)
 	}
+	v := a.await("j000001", "quarantined", stateIs(serve.StateQuarantined))
 	if v.Attempts != 3 {
 		t.Fatalf("attempts = %d, want 3 (the interrupted run counts)", v.Attempts)
 	}
-	if !strings.Contains(v.Error, "died with the server") || !strings.Contains(v.Error, "synthesis panicked") {
+	if !strings.Contains(v.Error, "died with") || !strings.Contains(v.Error, "synthesis panicked") {
 		t.Fatalf("quarantine cause lost the history: %q", v.Error)
 	}
-	if got := metricValue(t, a, "serve.jobs_quarantined"); got != 1 {
-		t.Fatalf("serve.jobs_quarantined = %v, want 1", got)
+	eventually(t, "serve.jobs_quarantined = 1", func() bool {
+		return metricValue(t, a, "serve.jobs_quarantined") == 1
+	})
+	if got := metricValue(t, a, "serve.attempts_total"); got != 0 {
+		t.Fatalf("serve.attempts_total = %v, want 0 (the job never ran again)", got)
 	}
-	if got := metricValue(t, a, "serve.jobs_requeued"); got != 0 {
-		t.Fatalf("serve.jobs_requeued = %v, want 0", got)
+	sctx, scancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer scancel()
+	if err := s.Shutdown(sctx); err != nil {
+		t.Fatal(err)
 	}
 
 	// The decision is durable: the next restart sees a terminal manifest.

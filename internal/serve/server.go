@@ -7,12 +7,16 @@
 // generation progress.
 //
 // Lifecycle: queued → running → done | failed | cancelled | quarantined.
-// Jobs persist a manifest (and, when finished, their rendered result)
-// under the data directory, so a restarted server lists old jobs,
-// re-queues interrupted ones and resumes them from their checkpoints
-// rather than from generation 0. Graceful shutdown drains the workers:
-// running jobs stop at their next generation boundary, write a final
-// checkpoint and return to the queued state on disk.
+// Every server keeps its jobs in one job store, the fleet.Store over the
+// data directory: a claim loop leases runnable jobs to the worker pool,
+// and every manifest, checkpoint and result write is fenced by the lease
+// epoch. A lone server is a fleet of one; several servers pointed at the
+// same directory share the work. A restarted server lists old jobs and
+// resumes interrupted ones from their checkpoints rather than from
+// generation 0. Graceful shutdown drains the workers: running jobs stop at
+// their next generation boundary, write a final checkpoint, return to the
+// queued state on disk and release their leases, so a restart claims them
+// at once. After a crash a restart waits out the lease TTL instead.
 //
 // The lifecycle is hardened against hostile inputs and overload: every
 // failed execution counts against a per-job attempt budget (with
@@ -56,8 +60,12 @@ type Config struct {
 	// QueueDepth bounds the number of jobs waiting to run (default 16).
 	// A full queue rejects submissions with 429 and a Retry-After hint.
 	QueueDepth int
-	// DataDir is where jobs persist manifests, checkpoints, results and
-	// traces (required).
+	// DataDir is the job store: job manifests, checkpoints, results,
+	// traces and batch records live under it (required). Servers sharing
+	// one DataDir under distinct NodeIDs form a fleet; a lone server is a
+	// fleet of one. A data directory in the single-node layout of earlier
+	// releases is converted in place when the server opens it. See
+	// docs/FLEET.md.
 	DataDir string
 	// SpecDir, when set, lets jobs name a built-in specification
 	// ("spec_name": "mul1" resolves to SpecDir/mul1.spec).
@@ -87,8 +95,8 @@ type Config struct {
 
 	// MaxAttempts is the per-job execution budget (default 3): a job whose
 	// failed executions — in-process errors, panics, watchdog kills, and
-	// executions presumed dead at recovery or fleet-steal time — reach this
-	// count is quarantined instead of retried.
+	// executions presumed dead when their expired lease is stolen — reach
+	// this count is quarantined instead of retried.
 	MaxAttempts int
 	// RetryBackoff seeds the exponential backoff separating a failed
 	// attempt from the next execution (default 2s, doubling per failure,
@@ -122,20 +130,17 @@ type Config struct {
 	// this many jobs were quarantined in the last minute (default 1).
 	QuarantineDegradeThreshold int
 
-	// FleetDir, when set, turns the server into one node of a
-	// shared-filesystem fleet: jobs are published into this directory and
-	// executed by whichever node claims their lease. DataDir is not used in
-	// fleet mode. See docs/FLEET.md.
-	FleetDir string
-	// NodeID is this node's fleet-wide unique identifier
-	// ([A-Za-z0-9._-]{1,64}; default "node-<pid>"). Fleet mode only.
+	// NodeID identifies this server among those sharing DataDir
+	// ([A-Za-z0-9._-]{1,64}; default "node-<pid>").
 	NodeID string
 	// LeaseTTL is how long a job lease stays valid without renewal; a node
 	// that misses renewals for this long loses its jobs to the rest of the
-	// fleet (default 5s). Fleet mode only.
+	// fleet, and a server restarted after a crash waits this long before it
+	// reclaims its own (default 5s).
 	LeaseTTL time.Duration
-	// Heartbeat is the lease renewal and fleet scan interval (default
-	// LeaseTTL/3). Fleet mode only.
+	// Heartbeat is the lease renewal and job-store scan interval (default
+	// LeaseTTL/3). Submissions and finished runs wake the claim loop at
+	// once; the scan is what picks up other nodes' work and expired leases.
 	Heartbeat time.Duration
 	// FS is the filesystem every job, batch, checkpoint, cache and fleet
 	// write goes through (default the real filesystem; tests inject
@@ -145,9 +150,9 @@ type Config struct {
 	// CacheDir, when set, enables the content-addressed result cache:
 	// completed certified jobs publish their result under the canonical
 	// (spec, seed, options, engine version) key and semantically identical
-	// resubmissions are answered terminally at admission. In fleet mode it
-	// defaults to FleetDir/cache so every node shares one cache; in
-	// single-node mode empty means disabled. See docs/CACHE.md.
+	// resubmissions are answered terminally at admission. Empty means
+	// disabled; nodes of a fleet share results by pointing at one cache
+	// directory. See docs/CACHE.md.
 	CacheDir string
 	// CacheMaxBytes caps the total size of cache entries; beyond it the
 	// least-recently-used entries are evicted. 0 means unbounded.
@@ -191,21 +196,14 @@ func (c Config) withDefaults() Config {
 	if c.FS == nil {
 		c.FS = durable.OSFS{}
 	}
-	if c.FleetDir != "" {
-		if c.NodeID == "" {
-			c.NodeID = fmt.Sprintf("node-%d", os.Getpid())
-		}
-		if c.LeaseTTL <= 0 {
-			c.LeaseTTL = 5 * time.Second
-		}
-		if c.Heartbeat <= 0 {
-			c.Heartbeat = c.LeaseTTL / 3
-		}
-		if c.CacheDir == "" {
-			// Fleet nodes share one cache through the fleet directory:
-			// a result computed anywhere is a hit everywhere.
-			c.CacheDir = filepath.Join(c.FleetDir, "cache")
-		}
+	if c.NodeID == "" {
+		c.NodeID = fmt.Sprintf("node-%d", os.Getpid())
+	}
+	if c.LeaseTTL <= 0 {
+		c.LeaseTTL = 5 * time.Second
+	}
+	if c.Heartbeat <= 0 {
+		c.Heartbeat = c.LeaseTTL / 3
 	}
 	return c
 }
@@ -218,16 +216,19 @@ type Server struct {
 	mu       sync.Mutex
 	jobs     map[string]*Job
 	order    []string // job IDs in creation order (listing order)
-	seq      int
 	draining bool
 	started  bool
+	// unreadable holds the IDs of jobs found unreadable, so each is counted
+	// and logged once in serve.manifests_skipped.
+	unreadable map[string]bool
 
+	// queue hands claimed jobs to the workers; it never holds more than
+	// the pool's free slots. wake prompts the claim loop to claim now
+	// rather than at its next scan.
 	queue      chan *Job
+	wake       chan struct{}
 	wg         sync.WaitGroup
 	cancelRoot context.CancelCauseFunc
-	// rootCtx is the worker pool's context, kept so retry timers die with
-	// the pool instead of firing into a drained server.
-	rootCtx context.Context
 
 	// Observed per-job service time (EWMA seconds) behind the admission
 	// estimator, and the sliding shed/quarantine windows behind /readyz
@@ -237,16 +238,14 @@ type Server struct {
 	shedWindow eventWindow
 	quarWindow eventWindow
 
-	// Fleet mode state; nil/zero in single-node mode.
-	fleetStore *fleet.Store
+	// store is the job store over Config.DataDir.
+	store *fleet.Store
 
 	// cache is the content-addressed result store; nil when disabled.
 	cache *cas.Store
 
 	// Batch records, guarded by mu; cells are immutable once created.
-	batches    map[string]*Batch
-	batchOrder []string
-	batchSeq   int
+	batches map[string]*Batch
 
 	// Metric handles held once so the hot paths skip the registry map.
 	qDepth          *obs.Gauge
@@ -259,26 +258,32 @@ type Server struct {
 	batchesGauge    *obs.Gauge
 }
 
-// New builds a Server over cfg.DataDir, recovering previously persisted
-// jobs: terminal jobs return for listing and result serving, interrupted
-// ones go back to the queue (and resume from their checkpoints once a
-// worker picks them up). Call Start to launch the worker pool.
+// New builds a Server over the job store in cfg.DataDir. Existing jobs
+// are listed at once — terminal ones for result serving, unfinished ones
+// for the claim loop, which starts with Start and resumes them from their
+// checkpoints. Nothing is claimed before Start.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	if cfg.DataDir == "" && cfg.FleetDir == "" {
+	if cfg.DataDir == "" {
 		return nil, errors.New("serve: Config.DataDir is required")
 	}
 	s := &Server{
-		cfg:     cfg,
-		reg:     cfg.Registry,
-		jobs:    make(map[string]*Job),
-		batches: make(map[string]*Batch),
+		cfg:        cfg,
+		reg:        cfg.Registry,
+		jobs:       make(map[string]*Job),
+		batches:    make(map[string]*Batch),
+		unreadable: make(map[string]bool),
+		queue:      make(chan *Job, cfg.Workers),
+		wake:       make(chan struct{}, 1),
 	}
 	s.batchesGauge = s.reg.Gauge("serve.batches")
 	s.qDepth = s.reg.Gauge("serve.queue_depth")
 	s.running = s.reg.Gauge("serve.jobs_running")
 	s.busy = s.reg.Gauge("serve.workers_busy")
 	s.jobSeconds = s.reg.Histogram("serve.job_seconds", obs.DefTimeBuckets)
+	s.fleetRecovering = s.reg.Gauge("fleet.jobs_recoverable")
+	s.fleetLiveNodes = s.reg.Gauge("fleet.live_nodes")
+	s.fleetDegraded = s.reg.Gauge("fleet.degraded")
 	s.reg.Gauge("serve.workers").Set(float64(cfg.Workers))
 	// Batch counters register eagerly so scrapers see every series from the
 	// first /metrics exposition, not only after the first batch arrives.
@@ -302,50 +307,34 @@ func New(cfg Config) (*Server, error) {
 		s.cache = store
 	}
 
-	if cfg.FleetDir != "" {
-		store, err := fleet.Open(fleet.Config{
-			Dir: cfg.FleetDir, Node: cfg.NodeID, TTL: cfg.LeaseTTL,
-			FS: cfg.FS, Registry: cfg.Registry,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		s.fleetStore = store
-		s.fleetRecovering = s.reg.Gauge("fleet.jobs_recoverable")
-		s.fleetLiveNodes = s.reg.Gauge("fleet.live_nodes")
-		s.fleetDegraded = s.reg.Gauge("fleet.degraded")
-		s.queue = make(chan *Job, cfg.QueueDepth)
-		// Recovery is the claim loop's job: populate the table now so the
-		// API lists existing work immediately, but claim nothing before
-		// Start.
-		if err := s.syncFleet(); err != nil {
-			return nil, fmt.Errorf("serve: fleet: %w", err)
-		}
-		return s, nil
-	}
-
-	requeue, maxSeq, err := s.recoverJobs()
+	store, err := fleet.Open(fleet.Config{
+		Dir: cfg.DataDir, Node: cfg.NodeID, TTL: cfg.LeaseTTL,
+		FS: cfg.FS, Registry: cfg.Registry,
+	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	s.seq = maxSeq
-	s.recoverBatches()
-	// The queue must hold every recovered job plus the configured depth's
-	// worth of new ones; recovery must never hit its own backpressure.
-	depth := cfg.QueueDepth
-	if len(requeue) > depth {
-		depth = len(requeue)
+	s.store = store
+	if err := s.migrateLegacy(); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
 	}
-	s.queue = make(chan *Job, depth)
-	for _, j := range requeue {
-		s.queue <- j
-		if s.lifecycleTracing() {
-			s.emitJobSpan(obs.JobEvent{Job: j.ID, Event: obs.JobQueued,
-				State: string(StateQueued), Detail: "recovered at restart"})
+	if err := s.loadBatches(); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	if err := s.syncJobs(); err != nil {
+		return nil, fmt.Errorf("serve: %w", err)
+	}
+	// Every unfinished job with attempt budget left goes back to the claim
+	// loop; one whose budget its last death spent is quarantined when
+	// claimed instead.
+	requeued := s.reg.Counter("serve.jobs_requeued")
+	for _, j := range s.jobs {
+		j.mu.Lock()
+		if !j.state.Terminal() && !s.budgetSpentLocked(j) {
+			requeued.Inc()
 		}
+		j.mu.Unlock()
 	}
-	s.qDepth.Set(float64(len(s.queue)))
-	s.jobsByState()
 	return s, nil
 }
 
@@ -364,16 +353,13 @@ func (s *Server) Start(ctx context.Context) {
 	s.started = true
 	root, cancel := context.WithCancelCause(ctx)
 	s.cancelRoot = cancel
-	s.rootCtx = root
 	s.mu.Unlock()
 	for i := 0; i < s.cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.worker(root)
 	}
-	if s.fleetStore != nil {
-		s.wg.Add(1)
-		go s.fleetLoop(root)
-	}
+	s.wg.Add(1)
+	go s.claimLoop(root)
 }
 
 // ErrDrainTimeout reports a Shutdown that gave up waiting for the workers.
@@ -383,7 +369,7 @@ var ErrDrainTimeout = errors.New("serve: drain deadline exceeded before all work
 // in-flight syntheses are cancelled (they stop at the next generation
 // boundary and write their final checkpoints), and the call waits for the
 // worker pool until ctx expires. Interrupted jobs are left queued on disk
-// for the next server to resume.
+// with their leases released, so the next server resumes them at once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if ctx == nil {
 		ctx = context.Background()
@@ -399,6 +385,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	go func() {
 		defer func() { recover() }() // wg misuse must not kill the drain
 		s.wg.Wait()
+		s.releaseUnstarted()
 		close(done)
 	}()
 	select {
@@ -418,8 +405,9 @@ func (s *Server) Draining() bool {
 
 func (s *Server) logf(format string, args ...any) { s.cfg.Logf(format, args...) }
 
-// jobsByState recounts the per-state job gauges (cheap: the job table is
-// the unit of scale here, not the request rate).
+// jobsByState recounts the per-state job gauges and the queue depth (the
+// jobs waiting to run, claimed or not). s.mu must be held. Cheap: the job
+// table is the unit of scale here, not the request rate.
 func (s *Server) jobsByState() {
 	counts := map[State]int{}
 	for _, j := range s.jobs {
@@ -428,6 +416,7 @@ func (s *Server) jobsByState() {
 	for _, st := range []State{StateQueued, StateRunning, StateDone, StateFailed, StateCancelled, StateQuarantined} {
 		s.reg.Gauge("serve.jobs_state_" + string(st)).Set(float64(counts[st]))
 	}
+	s.qDepth.Set(float64(counts[StateQueued]))
 }
 
 // ---- worker pool ----
@@ -453,26 +442,27 @@ func (s *Server) worker(ctx context.Context) {
 		case <-ctx.Done():
 			return
 		case j := <-s.queue:
-			s.qDepth.Set(float64(len(s.queue)))
+			s.busy.Add(1)
 			s.runJob(ctx, j)
+			s.busy.Add(-1)
+			// The slot is free again: claim the next job now rather than at
+			// the next scan.
+			s.wakeClaims()
 		}
 	}
 }
 
-// runJob executes one job end to end: state transitions, per-job obs run,
-// checkpoint resume decision, the synthesis itself behind a recover
-// barrier, outcome classification and persistence.
+// runJob executes one claimed job end to end: state transitions, per-job
+// obs run, checkpoint resume decision, the synthesis itself behind a
+// recover barrier, outcome classification and fenced persistence. Every
+// outcome ends with the lease let go, so the claim loops can act on the
+// job at once (they honour a retry delay recorded in the manifest).
 func (s *Server) runJob(ctx context.Context, j *Job) {
-	// A job cancelled while queued is already terminal: skip it (in fleet
-	// mode its terminal manifest is committed and the lease let go).
+	// A job cancelled while it waited here was settled by the canceller,
+	// which owns its lease from then on.
 	j.mu.Lock()
 	if j.state != StateQueued {
-		lease := j.lease
 		j.mu.Unlock()
-		if lease != nil {
-			s.persist(j)
-			s.dropLease(j, lease)
-		}
 		return
 	}
 	jobCtx, cancel := context.WithCancelCause(ctx)
@@ -491,13 +481,9 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	}
 	j.mu.Unlock()
 	if s.lifecycleTracing() {
-		e := obs.JobEvent{Job: j.ID, Event: obs.JobAttempt,
+		s.emitJobSpan(obs.JobEvent{Job: j.ID, Event: obs.JobAttempt,
 			From: string(StateQueued), State: string(StateRunning),
-			Attempt: attempt, DwellNs: queuedNs, Node: s.cfg.NodeID}
-		if lease != nil {
-			e.Epoch = lease.Epoch
-		}
-		s.emitJobSpan(e)
+			Attempt: attempt, DwellNs: queuedNs, Node: s.cfg.NodeID, Epoch: lease.Epoch})
 	}
 	s.reg.Counter("serve.attempts_total").Inc()
 	// The execution context: the job context (worker pool + client cancel +
@@ -519,22 +505,16 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 		runCtx, cancelDeadline = context.WithDeadlineCause(jobCtx, deadline, errJobDeadline)
 		defer cancelDeadline()
 	}
-	var hbStop chan struct{}
-	var hbDone chan struct{}
-	if lease != nil {
-		hbStop, hbDone = make(chan struct{}), make(chan struct{})
-		go s.fleetHeartbeat(cancel, j, lease, hbStop, hbDone)
-	}
-	s.persist(j)
+	hbStop, hbDone := make(chan struct{}), make(chan struct{})
+	go s.heartbeat(cancel, j, lease, hbStop, hbDone)
+	s.persist(j, lease, j.snapshot())
 	s.running.Add(1)
-	s.busy.Add(1)
 	s.mu.Lock()
 	s.jobsByState()
 	s.mu.Unlock()
 	start := time.Now()
 	defer func() {
 		s.running.Add(-1)
-		s.busy.Add(-1)
 		d := time.Since(start)
 		s.jobSeconds.ObserveDuration(d)
 		s.observeServiceTime(d)
@@ -545,16 +525,12 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	}()
 
 	// Per-job instrumentation: a private registry for the progress gauges
-	// and, when configured, a JSONL trace in the job directory.
+	// and, when configured, a JSONL trace in the job directory. Per-epoch
+	// trace names keep concurrent holders (a stale one and its successor)
+	// from interleaving into one file.
 	var sink obs.Sink
 	if s.cfg.TraceJobs {
-		tracePath := filepath.Join(j.dir, traceFile)
-		if lease != nil {
-			// Per-epoch trace names keep concurrent holders (a stale one and
-			// its successor) from interleaving into one file.
-			tracePath = s.fleetStore.TracePath(j.ID, lease.Epoch)
-		}
-		f, err := os.Create(tracePath)
+		f, err := os.Create(s.store.TracePath(j.ID, lease.Epoch))
 		if err != nil {
 			s.logf("serve: job %s: trace: %v", j.ID, err)
 		} else {
@@ -574,22 +550,17 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	} else if cerr := run.Close(); cerr != nil {
 		s.logf("serve: job %s: trace close: %v", j.ID, cerr)
 	}
-	if lease != nil {
-		// Stop renewals before the final persists: a renewal after Release
-		// would resurrect the lease and block the fleet from reclaiming.
-		close(hbStop)
-		<-hbDone
-		// A fenced checkpoint write surfaces as a Partial result, not an
-		// error; re-check the fence here so a superseded run can never be
-		// classified (even locally) as completed.
-		if verr := lease.Verify(); errors.Is(verr, fleet.ErrLeaseLost) {
-			s.fence(j, nil, verr)
-		}
-	}
-
-	if lease != nil && errors.Is(err, fleet.ErrLeaseLost) {
-		// A fence surfaced through the synthesis error instead of the
-		// heartbeat: record it the same way (fence is idempotent).
+	// Stop renewals before the final persists: a renewal after Release
+	// would resurrect the lease and block the fleet from reclaiming.
+	close(hbStop)
+	<-hbDone
+	// A fenced checkpoint write surfaces as a Partial result, not an error,
+	// and a fence may also surface through the synthesis error; re-check
+	// here so a superseded run can never be classified (even locally) as
+	// completed. fence is idempotent.
+	if verr := lease.Verify(); errors.Is(verr, fleet.ErrLeaseLost) {
+		s.fence(j, nil, verr)
+	} else if errors.Is(err, fleet.ErrLeaseLost) {
 		s.fence(j, nil, err)
 	}
 
@@ -597,12 +568,10 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	j.mu.Lock()
 	j.cancel = nil
 	cancelled := j.cancelRequested
-	fenced := j.fenced || errors.Is(err, fleet.ErrLeaseLost)
-	if fenced {
+	if j.fenced {
 		// Another node holds a higher lease epoch: it owns the job now and
 		// this run's outcome is void. Persist NOTHING — the view refreshes
-		// from the new holder's manifests at the next fleet sync.
-		j.fenced = true
+		// from the new holder's manifests at the next scan.
 		j.state = StateQueued
 		j.started = time.Time{}
 		j.err = ""
@@ -638,8 +607,7 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	case err != nil && !cancelled:
 		// One failed execution. Within budget the job goes back to queued
 		// behind an exponential backoff; past it, quarantine — terminal,
-		// never re-enqueued here, by a restarted server, or by a stealing
-		// fleet node.
+		// never claimed again by this or any other node.
 		j.attempts++
 		if j.attempts >= s.cfg.MaxAttempts {
 			j.state = StateQuarantined
@@ -688,10 +656,12 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 
 	if state.Terminal() {
 		if res != nil {
-			// Result before manifest: recovery (and fleet adoption) trusts
-			// a terminal manifest to have its result document beside it.
+			// Result before manifest: a peer adopting the job trusts a
+			// terminal manifest to have its result document beside it.
 			if doc, rerr := renderResult(j, snap, sys, res); rerr == nil {
-				s.persistResult(j, doc)
+				if werr := lease.Write(fleet.KindResult, doc); werr != nil {
+					s.logf("serve: job %s: persist result: %v", j.ID, werr)
+				}
 				if state == StateDone {
 					s.cachePublish(j, sys, res, doc)
 				}
@@ -699,52 +669,33 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 				s.logf("serve: job %s: render result: %v", j.ID, rerr)
 			}
 		}
-		s.persistSnap(j, snap)
+		s.persist(j, lease, snap)
 		// A finished job no longer needs its checkpoint (quarantined
 		// included: it will never run again).
-		if lease != nil {
-			s.fleetStore.RemoveCheckpoints(j.ID)
-		} else {
-			s.cfg.FS.Remove(filepath.Join(j.dir, checkpointFile))
-		}
+		s.store.RemoveCheckpoints(j.ID)
 		// Reveal: terminal counters move under the same lock so state and
 		// /metrics can never disagree.
 		j.mu.Lock()
 		j.state = state
-		switch state {
-		case StateDone:
-			s.reg.Counter("serve.jobs_done").Inc()
-		case StateFailed:
-			s.reg.Counter("serve.jobs_failed").Inc()
-		case StateCancelled:
-			s.reg.Counter("serve.jobs_cancelled").Inc()
-		case StateQuarantined:
-			s.reg.Counter("serve.jobs_quarantined").Inc()
-		default:
-			// Non-terminal states never reach this branch.
-		}
+		s.countTerminal(state)
 		j.mu.Unlock()
 	} else {
-		s.persistSnap(j, snap)
+		s.persist(j, lease, snap)
 	}
 	if s.lifecycleTracing() {
-		epoch := 0
-		if lease != nil {
-			epoch = lease.Epoch
-		}
 		switch {
 		case state.Terminal():
-			s.emitTerminal(j, StateRunning, state, attempts, dwellNs, epoch, jobErr)
+			s.emitTerminal(j, StateRunning, state, attempts, dwellNs, lease.Epoch, jobErr)
 		case retryIn > 0:
 			s.emitJobSpan(obs.JobEvent{Job: j.ID, Event: obs.JobRetry,
 				From: string(StateRunning), State: string(StateQueued),
-				Attempt: attempts, DwellNs: dwellNs, Node: s.cfg.NodeID, Epoch: epoch,
+				Attempt: attempts, DwellNs: dwellNs, Node: s.cfg.NodeID, Epoch: lease.Epoch,
 				Detail: fmt.Sprintf("retrying in %v: %v", retryIn, err)})
 		default:
 			// Drained back to queued for the next server (or worker).
 			s.emitJobSpan(obs.JobEvent{Job: j.ID, Event: obs.JobQueued,
 				From: string(StateRunning), State: string(StateQueued),
-				DwellNs: dwellNs, Node: s.cfg.NodeID, Epoch: epoch, Detail: "drained"})
+				DwellNs: dwellNs, Node: s.cfg.NodeID, Epoch: lease.Epoch, Detail: "drained"})
 		}
 	}
 
@@ -762,48 +713,23 @@ func (s *Server) runJob(ctx context.Context, j *Job) {
 	default:
 		// Done and cancelled outcomes need no log line.
 	}
-	if lease != nil {
-		// Terminal, drained or awaiting retry, the state is committed: let
-		// the lease go so the fleet can act on the job immediately (the
-		// claim loops honour the retry delay in the manifest).
-		s.dropLease(j, lease)
-	} else if retryIn > 0 {
-		s.requeueAfter(j, retryIn)
-	}
+	s.dropLease(j, lease)
 }
 
-// requeueAfter re-enqueues a failed-but-retryable job once its backoff
-// elapses (single-node mode; fleet retries go through the claim loop). The
-// timer dies with the worker pool: a job still waiting out its backoff at
-// shutdown stays queued on disk and the next server picks it up.
-func (s *Server) requeueAfter(j *Job, delay time.Duration) {
-	s.mu.Lock()
-	ctx := s.rootCtx
-	s.mu.Unlock()
-	if ctx == nil { // not started (tests): run the timer unbounded
-		ctx = context.Background()
+// countTerminal moves the counter of a terminal state.
+func (s *Server) countTerminal(state State) {
+	switch state {
+	case StateDone:
+		s.reg.Counter("serve.jobs_done").Inc()
+	case StateFailed:
+		s.reg.Counter("serve.jobs_failed").Inc()
+	case StateCancelled:
+		s.reg.Counter("serve.jobs_cancelled").Inc()
+	case StateQuarantined:
+		s.reg.Counter("serve.jobs_quarantined").Inc()
+	default:
+		// Non-terminal states move no counter.
 	}
-	s.wg.Add(1)
-	go func() {
-		defer func() {
-			if p := recover(); p != nil {
-				s.logf("serve: job %s: requeue timer crashed: %v", j.ID, p)
-			}
-		}()
-		defer s.wg.Done()
-		t := time.NewTimer(delay)
-		defer t.Stop()
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-		}
-		select {
-		case <-ctx.Done():
-		case s.queue <- j:
-			s.qDepth.Set(float64(len(s.queue)))
-		}
-	}()
 }
 
 // synthesize parses the job's spec, decides fresh-versus-resume from the
@@ -832,38 +758,19 @@ func (s *Server) synthesize(ctx context.Context, j *Job, run *obs.Run) (*model.S
 	j.mu.Lock()
 	lease := j.lease
 	j.mu.Unlock()
-	if lease != nil {
-		if ferr := s.fleetCheckpointing(j, lease, &opts); ferr != nil {
-			if errors.Is(ferr, fleet.ErrLeaseLost) {
-				return nil, nil, ferr
-			}
-			s.logf("serve: job %s: checkpoint recovery degraded to fresh start: %v", j.ID, ferr)
-			opts.Resume = false
+	if ferr := s.checkpointing(j, lease, &opts); ferr != nil {
+		if errors.Is(ferr, fleet.ErrLeaseLost) {
+			return nil, nil, ferr
 		}
-	} else {
-		ckpt := filepath.Join(j.dir, checkpointFile)
-		opts.CheckpointPath = ckpt
-		opts.CheckpointSave = func(p string, cp *runctl.Checkpoint) error { return runctl.SaveFS(s.cfg.FS, p, cp) }
-		if cp, lerr := runctl.Load(ckpt); lerr == nil {
-			opts.Resume = true
-			j.mu.Lock()
-			j.resumedFrom = cp.Snapshot.Generation
-			j.mu.Unlock()
-			s.reg.Counter("serve.jobs_resumed").Inc()
-		} else if !errors.Is(lerr, os.ErrNotExist) {
-			s.logf("serve: job %s: unusable checkpoint, starting fresh: %v", j.ID, lerr)
-			s.cfg.FS.Remove(ckpt)
-		}
+		s.logf("serve: job %s: checkpoint recovery degraded to fresh start: %v", j.ID, ferr)
+		opts.Resume = false
 	}
-	if s.lifecycleTracing() && opts.CheckpointPath != "" {
+	if s.lifecycleTracing() {
 		// Wrap the save hook so every checkpoint write becomes a span
 		// event carrying the save duration (dwell_ns); checkpoint events
 		// do not advance the job's transition clock.
 		inner := opts.CheckpointSave
-		epoch := 0
-		if lease != nil {
-			epoch = lease.Epoch
-		}
+		epoch := lease.Epoch
 		opts.CheckpointSave = func(p string, cp *runctl.Checkpoint) error {
 			begin := time.Now()
 			serr := inner(p, cp)
@@ -970,8 +877,7 @@ func routeMetric(pattern string) string {
 // ReadyView is the JSON body of GET /readyz: a structured readiness
 // document instead of a bare string, so operators and load balancers can
 // see WHY a node is degraded. Status is "ready", "degraded" (still 200:
-// the node serves, but the fleet has jobs awaiting lease recovery) or
-// "draining" (503).
+// the node serves, but something needs attention) or "draining" (503).
 type ReadyView struct {
 	Status      string `json:"status"`
 	Workers     int    `json:"workers"`
@@ -979,10 +885,11 @@ type ReadyView struct {
 	QueueDepth  int    `json:"queue_depth"`
 	JobsRunning int    `json:"jobs_running"`
 	// Degraded lists the reasons behind a "degraded" status (empty when
-	// ready): recovery skipped damaged manifests, the shed or quarantine
-	// rate crossed its threshold, or the fleet has jobs awaiting recovery.
+	// ready): jobs were skipped for damaged manifests, the shed or
+	// quarantine rate crossed its threshold, or jobs await lease recovery.
 	Degraded []string `json:"degraded,omitempty"`
-	// ManifestsSkipped counts damaged job manifests skipped at recovery.
+	// ManifestsSkipped counts jobs skipped because no manifest of theirs
+	// could be read.
 	ManifestsSkipped int `json:"manifests_skipped,omitempty"`
 	// ShedLastMinute and QuarantinedLastMinute are the sliding-window
 	// overload signals the degradation thresholds apply to.
@@ -1023,15 +930,13 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	if v.QuarantinedLastMinute >= s.cfg.QuarantineDegradeThreshold {
 		v.Degraded = append(v.Degraded, fmt.Sprintf("%d jobs quarantined in the last minute (threshold %d)", v.QuarantinedLastMinute, s.cfg.QuarantineDegradeThreshold))
 	}
-	if s.fleetStore != nil {
-		v.Fleet = &FleetReadyView{
-			Node:                 s.cfg.NodeID,
-			LiveNodes:            int(s.fleetLiveNodes.Value()),
-			JobsAwaitingRecovery: int(s.fleetRecovering.Value()),
-		}
-		if s.fleetDegraded.Value() > 0 {
-			v.Degraded = append(v.Degraded, "fleet has jobs awaiting lease recovery")
-		}
+	v.Fleet = &FleetReadyView{
+		Node:                 s.cfg.NodeID,
+		LiveNodes:            int(s.fleetLiveNodes.Value()),
+		JobsAwaitingRecovery: int(s.fleetRecovering.Value()),
+	}
+	if s.fleetDegraded.Value() > 0 {
+		v.Degraded = append(v.Degraded, "fleet has jobs awaiting lease recovery")
 	}
 	if len(v.Degraded) > 0 {
 		v.Status = "degraded"
@@ -1169,94 +1074,98 @@ func (s *Server) validateJob(req *JobRequest) *admitError {
 	return nil
 }
 
-// admitJob queues one validated job, enforcing draining, backlog bounds and
-// deadline shedding. It owns both the fleet and the single-node admission
-// paths and emits the submitted counter and lifecycle span on success.
+// admitJob publishes one validated job into the job store, enforcing
+// draining, the backlog bound and deadline shedding, and wakes the claim
+// loop. It emits the submitted counter and lifecycle span on success.
 func (s *Server) admitJob(req JobRequest, system string) (*Job, *admitError) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.draining {
-		s.mu.Unlock()
 		return nil, admitErrorf(http.StatusServiceUnavailable, "server is shutting down")
 	}
-	if s.fleetStore != nil {
-		// Fleet admission: bound the fleet-wide backlog of unstarted jobs
-		// the same way the single-node queue is bounded.
-		queued := 0
-		for _, j := range s.jobs {
-			if j.snapshot().State == StateQueued {
-				queued++
-			}
+	// The backlog bound covers every unstarted job in the store, claimed
+	// or not, whichever node published it.
+	queued := 0
+	for _, j := range s.jobs {
+		if j.snapshot().State == StateQueued {
+			queued++
 		}
-		s.mu.Unlock()
-		if queued >= s.cfg.QueueDepth {
-			s.reg.Counter("serve.jobs_rejected").Inc()
-			e := admitErrorf(http.StatusTooManyRequests, "queue full (%d jobs waiting); retry later", queued)
-			e.retryAfter = "1"
-			return nil, e
-		}
-		if e := s.shedCheck(&req, queued); e != nil {
-			return nil, e
-		}
-		j, err := s.submitFleet(req, system)
-		if err != nil {
-			return nil, admitErrorf(http.StatusInternalServerError, "publish job: %v", err)
-		}
-		s.reg.Counter("serve.jobs_submitted").Inc()
-		if s.lifecycleTracing() {
-			s.emitJobSpan(obs.JobEvent{Job: j.ID, Event: obs.JobSubmitted,
-				State: string(StateQueued), Node: s.cfg.NodeID})
-		}
-		return j, nil
 	}
-	if e := s.shedCheck(&req, len(s.queue)); e != nil {
-		s.mu.Unlock()
-		return nil, e
-	}
-	id := jobID(s.seq + 1)
-	j := &Job{ID: id, Request: req, dir: s.jobDir(id), system: system}
-	j.state = StateQueued
-	j.created = time.Now()
-	// Persist the queued manifest before the job becomes visible to a
-	// worker: once it is on the queue a worker may transition it to running
-	// (or even terminal) and persist that, and a stale queued write landing
-	// afterwards would clobber the newer state. A job whose directory or
-	// manifest is not durable is refused: a 202 must survive a restart.
-	err := s.makeJobDir(j.dir)
-	if err == nil {
-		err = s.persist(j)
-	}
-	if err != nil {
-		s.mu.Unlock()
-		os.RemoveAll(j.dir)
-		return nil, admitErrorf(http.StatusInternalServerError, "persist job: %v", err)
-	}
-	// The job lock is held from the enqueue until the submitted span is
-	// out: a worker takes it before emitting the attempt span, so the
-	// job's span stream always opens with its submission.
-	j.mu.Lock()
-	select {
-	case s.queue <- j:
-	default:
-		j.mu.Unlock()
-		s.mu.Unlock()
-		os.RemoveAll(j.dir)
+	if queued >= s.cfg.QueueDepth {
 		s.reg.Counter("serve.jobs_rejected").Inc()
-		e := admitErrorf(http.StatusTooManyRequests, "queue full (%d jobs waiting); retry later", cap(s.queue))
+		e := admitErrorf(http.StatusTooManyRequests, "queue full (%d jobs waiting); retry later", queued)
 		e.retryAfter = "1"
 		return nil, e
 	}
-	if s.lifecycleTracing() {
-		s.emitJobSpan(obs.JobEvent{Job: id, Event: obs.JobSubmitted,
-			State: string(StateQueued)})
+	if e := s.shedCheck(&req, queued); e != nil {
+		return nil, e
 	}
-	j.mu.Unlock()
-	s.seq++
+	// A job whose spec or queued manifest is not durable is refused: a 202
+	// must survive a restart.
+	j, err := s.publishLocked(req, system, nil)
+	if err != nil {
+		return nil, admitErrorf(http.StatusInternalServerError, "persist job: %v", err)
+	}
+	s.reg.Counter("serve.jobs_submitted").Inc()
+	s.wakeClaims()
+	return j, nil
+}
+
+// publishLocked writes a new job into the job store and enters it into the
+// table: queued, or — given a cache entry's result document — done at
+// birth. s.mu is held throughout, so a scan that adopts the job from disk
+// meanwhile finds the table entry instead of adding it twice. The job lock
+// is held from the table entry until the submitted (or cached) span is
+// out: the claim loop takes it before claiming, so the job's span stream
+// always opens with its submission.
+func (s *Server) publishLocked(req JobRequest, system string, cached *cas.Entry) (*Job, error) {
+	id, err := s.store.NewJobID()
+	if err != nil {
+		return nil, err
+	}
+	j := &Job{ID: id, Request: req, system: system}
+	j.state = StateQueued
+	j.created = time.Now()
+	j.node = s.cfg.NodeID
+	var doc []byte
+	if cached != nil {
+		j.state = StateDone
+		j.cached = true
+		j.finished = j.created
+		if doc, err = rewriteCachedResult(cached.Result, id); err != nil {
+			s.store.RemoveJob(id)
+			return nil, fmt.Errorf("cached result document: %w", err)
+		}
+	}
+	spec, err := json.MarshalIndent(&req, "", "  ")
+	var man []byte
+	if err == nil {
+		man, err = s.manifest(j, j.snapshot(), 0)
+	}
+	if err != nil {
+		s.store.RemoveJob(id)
+		return nil, err
+	}
+	if cached != nil {
+		err = s.store.CreateDoneJob(id, spec, man, doc)
+	} else {
+		err = s.store.CreateJob(id, spec, man)
+	}
+	if err != nil {
+		return nil, err
+	}
+	j.mu.Lock()
 	s.jobs[id] = j
 	s.order = append(s.order, id)
-	s.qDepth.Set(float64(len(s.queue)))
+	if s.lifecycleTracing() {
+		e := obs.JobEvent{Job: id, Event: obs.JobSubmitted, State: string(StateQueued), Node: s.cfg.NodeID}
+		if cached != nil {
+			e.Event, e.State, e.Detail = obs.JobCached, string(StateDone), fmt.Sprintf("key %.12s", cached.Key)
+		}
+		s.emitJobSpan(e)
+	}
+	j.mu.Unlock()
 	s.jobsByState()
-	s.mu.Unlock()
-	s.reg.Counter("serve.jobs_submitted").Inc()
 	return j, nil
 }
 
@@ -1372,21 +1281,9 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 }
 
 // lookup resolves the {id} path segment, writing the 404 itself on a miss.
-// A fleet node adopts a job it has not yet seen in a coordination pass, so
-// a job published through any node is visible through every node as soon
-// as its manifest lands.
 func (s *Server) lookup(w http.ResponseWriter, r *http.Request) *Job {
 	id := r.PathValue("id")
-	if !validJobID(id) {
-		writeError(w, http.StatusNotFound, "no such job %q", id)
-		return nil
-	}
-	s.mu.Lock()
-	j := s.jobs[id]
-	s.mu.Unlock()
-	if j == nil && s.fleetStore != nil {
-		j, _ = s.adoptFleetJob(id)
-	}
+	j := s.job(id)
 	if j == nil {
 		writeError(w, http.StatusNotFound, "no such job %q", id)
 		return nil
@@ -1433,22 +1330,19 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	writeError(w, http.StatusConflict, "job %s is %s and produced no result", j.ID, state)
 }
 
-// loadResultDoc returns the job's persisted result document, or nil. In
-// fleet mode corrupt epochs are skipped down to the last valid one.
+// loadResultDoc returns the job's persisted result document, or nil.
+// Corrupt epochs are skipped down to the last valid one.
 func (s *Server) loadResultDoc(j *Job) []byte {
-	if s.fleetStore != nil {
-		data, _, err := s.fleetStore.Latest(j.ID, fleet.KindResult, func(d []byte) error {
-			if !json.Valid(d) {
-				return errors.New("result document is not valid JSON")
-			}
-			return nil
-		})
-		if err != nil {
-			return nil
+	data, _, err := s.store.Latest(j.ID, fleet.KindResult, func(d []byte) error {
+		if !json.Valid(d) {
+			return errors.New("result document is not valid JSON")
 		}
-		return data
+		return nil
+	})
+	if err != nil {
+		return nil
 	}
-	return j.loadResult()
+	return data
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
@@ -1456,47 +1350,28 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	if j == nil {
 		return
 	}
-	if s.fleetStore != nil {
-		j.mu.Lock()
-		state := j.state
-		local := j.lease != nil
-		j.mu.Unlock()
-		if state.Terminal() {
-			writeError(w, http.StatusConflict, "job %s is already %s", j.ID, state)
-			return
-		}
-		// The durable marker reaches whichever node holds (or will claim)
-		// the job, even if that is not us.
-		if err := s.fleetStore.RequestCancel(j.ID); err != nil {
-			writeError(w, http.StatusInternalServerError, "cancel %s: %v", j.ID, err)
-			return
-		}
-		if local {
-			// Held here: stop it now rather than at the next heartbeat. The
-			// worker commits the terminal manifest and releases the lease.
-			j.requestCancel(errors.New("cancelled by client"))
-		}
-		writeJSON(w, http.StatusAccepted, j.status(j.system))
-		return
-	}
-	state, changed := j.requestCancel(errors.New("cancelled by client"))
-	if !changed {
+	if state := j.snapshot().State; state.Terminal() {
 		writeError(w, http.StatusConflict, "job %s is already %s", j.ID, state)
 		return
 	}
-	if state == StateCancelled {
-		// Was still queued: terminal on the spot.
-		s.persist(j)
-		s.reg.Counter("serve.jobs_cancelled").Inc()
-		if s.lifecycleTracing() {
-			j.mu.Lock()
-			dwellNs := j.dwellLocked(time.Now())
-			j.mu.Unlock()
-			s.emitTerminal(j, StateQueued, StateCancelled, 0, dwellNs, 0, "cancelled by client")
-		}
-		s.mu.Lock()
-		s.jobsByState()
-		s.mu.Unlock()
+	// The durable marker reaches whichever node holds (or will claim) the
+	// job, even if that is not us.
+	if err := s.store.RequestCancel(j.ID); err != nil {
+		writeError(w, http.StatusInternalServerError, "cancel %s: %v", j.ID, err)
+		return
+	}
+	j.mu.Lock()
+	lease := j.lease
+	j.mu.Unlock()
+	if lease == nil {
+		// Held nowhere here: claiming it settles the marked job on the spot
+		// (a holder elsewhere sees the marker at its next heartbeat).
+		s.claimJob(j)
+	} else if st, changed := j.requestCancel(errors.New("cancelled by client")); changed && st == StateCancelled {
+		// Claimed here but still waiting for a worker, which now skips it:
+		// settle it as the lease holder. A running job is stopped by the
+		// same call and settled by its worker.
+		s.settle(j, lease, StateQueued, StateCancelled, "")
 	}
 	writeJSON(w, http.StatusAccepted, j.status(j.system))
 }

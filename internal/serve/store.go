@@ -2,11 +2,10 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
-	"os"
+	"io/fs"
 	"path/filepath"
-	"sort"
-	"strconv"
 	"time"
 
 	"momosyn/internal/durable"
@@ -14,9 +13,9 @@ import (
 )
 
 // manifest is the on-disk record of one job, written atomically on every
-// state transition so a killed server can reconstruct its job table. The
-// resolved spec text is embedded: recovery never needs the spec directory
-// the job was submitted against.
+// state transition at the writer's lease epoch so a killed server (or a
+// peer) can reconstruct the job. The resolved spec text is embedded:
+// recovery never needs the spec directory the job was submitted against.
 type manifest struct {
 	ID       string     `json:"id"`
 	Request  JobRequest `json:"request"`
@@ -30,21 +29,19 @@ type manifest struct {
 	// from, so restart semantics stay observable across restarts.
 	ResumedFrom int `json:"resumed_from,omitempty"`
 	// Attempts counts failed executions of this job so far; it is carried
-	// through restarts and fleet steals so a poison job exhausts its budget
+	// through restarts and steals so a poison job exhausts its budget
 	// fleet-wide, not per node. NotBefore (a pointer so the happy path
 	// omits it — time.Time has no empty encoding) delays the next retry.
-	// Both are absent for jobs that never failed, keeping their manifests
-	// byte-identical to earlier releases.
+	// Both are absent for jobs that never failed.
 	Attempts  int        `json:"attempts,omitempty"`
 	NotBefore *time.Time `json:"not_before,omitempty"`
-	// Node and Epoch record fleet provenance: which node wrote this
-	// manifest under which lease epoch. Both are zero in single-node mode,
-	// keeping its manifests byte-identical to earlier releases.
+	// Node and Epoch record provenance: which node wrote this manifest
+	// under which lease epoch (0: the submitter, before any claim). Legacy
+	// single-node manifests carry neither.
 	Node  string `json:"node,omitempty"`
 	Epoch int    `json:"epoch,omitempty"`
 	// Cached marks a job answered from the content-addressed result cache;
-	// absent for jobs that ran, keeping their manifests byte-identical to
-	// earlier releases.
+	// absent for jobs that ran.
 	Cached bool `json:"cached,omitempty"`
 }
 
@@ -58,198 +55,103 @@ func manifestRetry(snap jobSnapshot) (int, *time.Time) {
 	return snap.Attempts, nb
 }
 
+// The single-node layout of earlier releases: each job in DataDir/jobs/<id>/ as
+// manifest.json, result.json and job.ckpt, written without leases or
+// epochs. Only the migration below still reads these names.
 const (
-	manifestFile   = "manifest.json"
-	checkpointFile = "job.ckpt"
-	resultFile     = "result.json"
-	traceFile      = "trace.jsonl"
+	legacyManifest   = "manifest.json"
+	legacyResult     = "result.json"
+	legacyCheckpoint = "job.ckpt"
 )
 
-// jobDir returns the directory owning the job's artefacts.
-func (s *Server) jobDir(id string) string {
-	return filepath.Join(s.cfg.DataDir, "jobs", id)
-}
-
-// makeJobDir creates a single-node job directory and fsyncs data/jobs, so
-// the new directory entry is as durable as the manifest about to land in
-// it.
-func (s *Server) makeJobDir(dir string) error {
-	if err := s.cfg.FS.MkdirAll(dir); err != nil {
+// migrateLegacy converts single-node job directories to the job store
+// layout in place, once, when the server opens its data directory. The
+// legacy files hold the very documents the store keeps, so each is
+// republished unchanged under its epoch-0 name — the name a job has before
+// any lease exists — next to a spec.json rebuilt from the manifest's
+// request; then the legacy names go. A legacy running manifest stays
+// running: the claim loop treats it like any orphaned run, counting the
+// attempt that died and resuming from the checkpoint. A job whose manifest
+// cannot be read is left in place and counted in serve.manifests_skipped.
+// Batch records already live where the store keeps them (DataDir/batches).
+func (s *Server) migrateLegacy() error {
+	ids, err := s.store.Jobs()
+	if err != nil {
 		return err
 	}
-	return s.cfg.FS.SyncDir(filepath.Dir(dir))
-}
-
-// persist writes the job's manifest. Failures are logged and returned:
-// admission refuses a job whose queued manifest did not land, while every
-// later transition keeps serving from the in-memory table and merely loses
-// restart durability. In fleet mode the write goes through the lease
-// fence instead, and its failures are handled there (nil is returned).
-func (s *Server) persist(j *Job) error { return s.persistSnap(j, j.snapshot()) }
-
-// persistSnap is persist with an explicit snapshot, for the worker's
-// terminal path where the manifest must carry the job's final state while
-// the in-memory job still hides it.
-func (s *Server) persistSnap(j *Job, snap jobSnapshot) error {
-	if s.fleetStore != nil {
-		s.fleetPersistSnap(j, snap)
-		return nil
-	}
-	m := manifest{
-		ID:          j.ID,
-		Request:     j.Request,
-		System:      j.system,
-		State:       snap.State,
-		Error:       snap.Err,
-		Created:     snap.Created,
-		Started:     snap.Started,
-		Finished:    snap.Finished,
-		ResumedFrom: snap.ResumedFrom,
-		Cached:      snap.Cached,
-	}
-	m.Attempts, m.NotBefore = manifestRetry(snap)
-	data, err := json.MarshalIndent(&m, "", "  ")
-	if err == nil {
-		err = durable.WriteFileAtomic(s.cfg.FS, filepath.Join(j.dir, manifestFile), data)
-	}
-	if err != nil {
-		s.logf("serve: job %s: persist manifest: %v", j.ID, err)
-	}
-	return err
-}
-
-// persistResult stores the rendered result document next to the manifest
-// so terminal jobs keep serving their result across restarts. Fleet mode
-// writes it through the lease fence at the lease's epoch.
-func (s *Server) persistResult(j *Job, doc []byte) {
-	var err error
-	if s.fleetStore != nil {
-		j.mu.Lock()
-		lease := j.lease
-		j.mu.Unlock()
-		if lease == nil {
-			return
-		}
-		err = lease.Write(fleet.KindResult, doc)
-	} else {
-		err = durable.WriteFileAtomic(s.cfg.FS, filepath.Join(j.dir, resultFile), doc)
-	}
-	if err != nil {
-		s.logf("serve: job %s: persist result: %v", j.ID, err)
-	}
-}
-
-// loadResult returns the persisted result document, or nil.
-func (j *Job) loadResult() []byte {
-	data, err := os.ReadFile(filepath.Join(j.dir, resultFile))
-	if err != nil {
-		return nil
-	}
-	return data
-}
-
-// recover scans the data directory and rebuilds the job table: terminal
-// jobs come back for listing and result serving; queued and running jobs
-// are re-queued (running ones were interrupted — they resume from their
-// checkpoint when one exists). It returns the jobs to enqueue, in ID
-// order, and the highest sequence number seen.
-func (s *Server) recoverJobs() (requeue []*Job, maxSeq int, err error) {
-	root := filepath.Join(s.cfg.DataDir, "jobs")
-	if err := s.cfg.FS.MkdirAll(root); err != nil {
-		return nil, 0, fmt.Errorf("serve: data dir: %w", err)
-	}
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		return nil, 0, fmt.Errorf("serve: data dir: %w", err)
-	}
-	names := make([]string, 0, len(entries))
-	for _, e := range entries {
-		if e.IsDir() && validJobID(e.Name()) {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	skipped := s.reg.Counter("serve.manifests_skipped")
-	for _, name := range names {
-		dir := filepath.Join(root, name)
-		path := filepath.Join(dir, manifestFile)
-		data, err := os.ReadFile(path)
-		if err != nil {
-			s.logf("serve: recovery: skipping %s: unreadable manifest: %v", path, err)
-			skipped.Inc()
-			continue
+	for _, id := range ids {
+		dir := s.store.JobDir(id)
+		data, err := s.cfg.FS.ReadFile(filepath.Join(dir, legacyManifest))
+		if errors.Is(err, fs.ErrNotExist) {
+			continue // not a legacy job
 		}
 		var m manifest
-		if reason := decodeManifest(data, name, &m); reason != "" {
-			s.logf("serve: recovery: skipping %s: %s", path, reason)
-			skipped.Inc()
+		if err == nil {
+			err = decodeManifest(data, id, &m)
+		}
+		if err != nil {
+			s.skipUnreadable(id, err)
 			continue
 		}
-		if n, err := strconv.Atoi(name[1:]); err == nil && n > maxSeq {
-			maxSeq = n
+		if err := s.convertLegacy(id, dir, &m.Request, data); err != nil {
+			return fmt.Errorf("convert legacy job %s: %w", id, err)
 		}
-		j := &Job{ID: m.ID, Request: m.Request, dir: dir, system: m.System}
-		j.created = m.Created
-		j.cached = m.Cached
-		j.resumedFrom = m.ResumedFrom
-		j.attempts = m.Attempts
-		if m.NotBefore != nil {
-			j.notBefore = *m.NotBefore
-		}
-		j.err = m.Error
-		switch m.State {
-		case StateDone, StateFailed, StateCancelled, StateQuarantined:
-			j.state = m.State
-			j.started = m.Started
-			j.finished = m.Finished
-		case StateQueued, StateRunning:
-			// An interrupted run: the execution that was in flight died with
-			// the process and counts against the attempt budget. A job whose
-			// budget is spent is quarantined here instead of re-queued —
-			// this is what stops a poison job that kills the server from
-			// crash-looping across restarts forever.
-			if m.State == StateRunning {
-				j.attempts++
-			}
-			if j.attempts >= s.cfg.MaxAttempts {
-				j.state = StateQuarantined
-				j.started = m.Started
-				j.finished = time.Now()
-				j.err = quarantineCause(j.attempts, fmt.Errorf("attempt died with the server (last error: %s)", orNone(m.Error)))
-				s.reg.Counter("serve.jobs_quarantined").Inc()
-				s.quarWindow.record(time.Now())
-				s.logf("serve: recovery: job %s quarantined after %d attempts", j.ID, j.attempts)
-				s.persist(j)
-				break
-			}
-			// Back to the queue. The worker decides between resume and
-			// fresh start when it finds (or fails to load) the checkpoint.
-			j.state = StateQueued
-			if m.State == StateRunning {
-				s.persist(j) // make the consumed attempt durable
-			}
-			s.reg.Counter("serve.jobs_requeued").Inc()
-			requeue = append(requeue, j)
-		}
-		s.jobs[j.ID] = j
-		s.order = append(s.order, j.ID)
 	}
-	return requeue, maxSeq, nil
+	return nil
 }
 
-// decodeManifest validates a recovered manifest, returning a human-readable
-// rejection reason ("" when the manifest is usable).
-func decodeManifest(data []byte, name string, m *manifest) string {
-	if err := json.Unmarshal(data, m); err != nil {
-		return fmt.Sprintf("corrupt manifest: %v", err)
+// convertLegacy republishes one legacy job. Every write replaces, so a
+// conversion cut short by a crash simply runs again at the next start; the
+// manifest lands last and the legacy manifest goes last, so the job is
+// never missing from both layouts.
+func (s *Server) convertLegacy(id, dir string, req *JobRequest, man []byte) error {
+	spec, err := json.MarshalIndent(req, "", "  ")
+	if err != nil {
+		return err
 	}
-	if m.ID != name {
-		return fmt.Sprintf("corrupt manifest: names job %q", m.ID)
+	if err := durable.WriteFileAtomic(s.cfg.FS, s.store.SpecPath(id), spec); err != nil {
+		return err
+	}
+	legacy := []struct {
+		name string
+		kind fleet.Kind
+	}{{legacyResult, fleet.KindResult}, {legacyCheckpoint, fleet.KindCheckpoint}}
+	for _, f := range legacy {
+		data, err := s.cfg.FS.ReadFile(filepath.Join(dir, f.name))
+		if errors.Is(err, fs.ErrNotExist) {
+			continue
+		}
+		if err == nil {
+			err = durable.WriteFileAtomic(s.cfg.FS, s.store.StatePath(id, f.kind, 0), data)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	if err := durable.WriteFileAtomic(s.cfg.FS, s.store.StatePath(id, fleet.KindManifest, 0), man); err != nil {
+		return err
+	}
+	for _, name := range []string{legacyResult, legacyCheckpoint, legacyManifest} {
+		if err := s.cfg.FS.Remove(filepath.Join(dir, name)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+			return err
+		}
+	}
+	return s.cfg.FS.SyncDir(dir)
+}
+
+// decodeManifest decodes and validates a manifest read from disk (external
+// input) for the named job.
+func decodeManifest(data []byte, id string, m *manifest) error {
+	if err := json.Unmarshal(data, m); err != nil {
+		return fmt.Errorf("corrupt manifest: %w", err)
+	}
+	if m.ID != id {
+		return fmt.Errorf("corrupt manifest: names job %q", m.ID)
 	}
 	if !m.State.valid() {
-		return fmt.Sprintf("corrupt manifest: unknown state %q", m.State)
+		return fmt.Errorf("corrupt manifest: unknown state %q", m.State)
 	}
-	return ""
+	return nil
 }
 
 func orNone(s string) string {

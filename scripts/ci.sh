@@ -49,12 +49,13 @@ go test -run='^$' -fuzz=FuzzCheckpoint -fuzztime=5s -fuzzminimizetime=5s ./inter
 echo "==> trace smoke (mmsynth -trace/-metrics through mmtrace)"
 ./scripts/trace_smoke.sh
 
-# Job-service smoke: boot mmserved, one job over HTTP to a certified
-# result, clean SIGTERM drain (exit 0).
+# Job-service smoke: boot mmserved over a copy of the legacy single-node
+# fixture (converted jobs serve and finish), one job over HTTP to a
+# certified result, clean SIGTERM drain (exit 0).
 echo "==> serve smoke (mmserved job service)"
 ./scripts/serve_smoke.sh
 
-# Fleet chaos smoke: two nodes over one shared fleet directory, four jobs,
+# Fleet chaos smoke: two nodes over one shared data directory, four jobs,
 # kill -9 one node mid-run; the survivor must steal the orphaned leases and
 # finish every job exactly once with certified results.
 echo "==> fleet chaos smoke (mmserved multi-node node-loss recovery)"

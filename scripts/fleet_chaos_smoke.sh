@@ -1,6 +1,6 @@
 #!/bin/sh
-# fleet_chaos_smoke.sh — node-loss smoke test of the mmserved fleet mode:
-# boot two nodes over one shared fleet directory, submit four jobs, kill -9
+# fleet_chaos_smoke.sh — node-loss smoke test of an mmserved fleet: boot
+# two nodes over one shared data directory, submit four jobs, kill -9
 # one node mid-run, and require that the survivor recovers the orphaned
 # leases and drives every job to a certified terminal state — no job lost,
 # no job committed twice. See docs/FLEET.md.
@@ -33,7 +33,7 @@ fleet="$workdir/fleet"
 # the pid via $!.
 boot_node() {
     _name=$1; _out=$2; shift 2
-    "$workdir/mmserved" -addr 127.0.0.1:0 -fleet-dir "$fleet" -node-id "$_name" \
+    "$workdir/mmserved" -addr 127.0.0.1:0 -data "$fleet" -node-id "$_name" \
         -lease-ttl 1s -heartbeat 100ms -workers 2 -checkpoint-every 2 "$@" \
         > "$_out" 2> "$_out.err" &
 }

@@ -13,6 +13,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sort"
 	"strings"
 	"syscall"
 	"testing"
@@ -141,13 +142,25 @@ func TestServedEndToEnd(t *testing.T) {
 	}
 
 	// Start a long-running job so the drain has something to interrupt,
-	// then SIGTERM the server: it must exit 0 within the drain window.
-	if _, err := client.Submit(ctx, serve.JobRequest{
+	// wait until it runs, then SIGTERM the server: it must exit 0 within
+	// the drain window.
+	long, err := client.Submit(ctx, serve.JobRequest{
 		Spec: string(specText),
 		Seed: 2,
 		GA:   serve.GAParams{PopSize: 48, MaxGenerations: 1_000_000, Stagnation: 1_000_000},
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatalf("submit long job: %v", err)
+	}
+	for {
+		v, err := client.Status(ctx, long.ID)
+		if err != nil {
+			t.Fatalf("status: %v", err)
+		}
+		if v.State == serve.StateRunning {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
@@ -165,15 +178,21 @@ func TestServedEndToEnd(t *testing.T) {
 		t.Fatal("mmserved did not exit within 60s of SIGTERM")
 	}
 
-	// The interrupted job's state on disk must be resumable (queued), with
-	// a checkpoint next to it.
-	manifests, _ := filepath.Glob(filepath.Join(dataDir, "jobs", "*", "manifest.json"))
-	if len(manifests) != 2 {
-		t.Fatalf("found %d manifests, want 2", len(manifests))
+	// The interrupted job's state on disk must be resumable (queued, its
+	// lease released), with a checkpoint next to it. Each job's state is
+	// its newest manifest epoch.
+	jobs, _ := filepath.Glob(filepath.Join(dataDir, "jobs", "*"))
+	if len(jobs) != 2 {
+		t.Fatalf("found %d jobs, want 2", len(jobs))
 	}
 	states := map[string]int{}
-	for _, m := range manifests {
-		data, err := os.ReadFile(m)
+	for _, dir := range jobs {
+		manifests, _ := filepath.Glob(filepath.Join(dir, "manifest.e*.json"))
+		if len(manifests) == 0 {
+			t.Fatalf("job %s has no manifest", filepath.Base(dir))
+		}
+		sort.Strings(manifests)
+		data, err := os.ReadFile(manifests[len(manifests)-1])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -184,11 +203,21 @@ func TestServedEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		states[man.State]++
+		// Every lease, the drained job's included, was let go: a restart
+		// claims at once instead of waiting out the TTL.
+		leases, _ := filepath.Glob(filepath.Join(dir, "lease.e*"))
+		sort.Strings(leases)
+		if len(leases) > 0 {
+			lease, err := os.ReadFile(leases[len(leases)-1])
+			if err != nil || !strings.Contains(string(lease), `"released":true`) {
+				t.Fatalf("job %s lease not released after the drain: %s (err %v)", filepath.Base(dir), lease, err)
+			}
+		}
 	}
 	if states["done"] != 1 || states["queued"] != 1 {
 		t.Fatalf("persisted states %v, want one done and one queued", states)
 	}
-	if ckpts, _ := filepath.Glob(filepath.Join(dataDir, "jobs", "*", "job.ckpt")); len(ckpts) != 1 {
+	if ckpts, _ := filepath.Glob(filepath.Join(dataDir, "jobs", "*", "job.e*.ckpt")); len(ckpts) != 1 {
 		t.Fatalf("found %d checkpoints, want 1 (the interrupted job's)", len(ckpts))
 	}
 }
