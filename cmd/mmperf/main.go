@@ -63,15 +63,16 @@ Run 'mmperf run -h' or 'mmperf diff -h' for per-subcommand flags.
 func runMeasure(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("mmperf run", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	def := ga.Config{}.ResolveBudget()
 	var (
 		specsArg = fs.String("specs", "muls", "comma-separated specs: muls (the full mul1-mul12 suite), mulN, smartphone, or spec file paths")
 		reps     = fs.Int("reps", 3, "measured repetitions per spec")
 		warmups  = fs.Int("warmups", 1, "unmeasured warm-up runs per spec")
 		seed     = fs.Int64("seed", 1, "base seed (rep r runs at seed + r*7919)")
 		useDVS   = fs.Bool("dvs", false, "enable voltage scaling during the measured runs")
-		pop      = fs.Int("pop", 64, "GA population size")
-		gens     = fs.Int("gens", 300, "GA generation limit")
-		stag     = fs.Int("stagnation", 80, "GA stagnation limit")
+		pop      = fs.Int("pop", def.PopSize, "GA population size")
+		gens     = fs.Int("gens", def.MaxGenerations, "GA generation limit")
+		stag     = fs.Int("stagnation", def.Stagnation, "GA stagnation limit")
 		out      = fs.String("out", "", "artifact output path (default BENCH_<commit>.json in the working directory)")
 		progress = fs.Bool("progress", false, "print a stderr heartbeat after each spec")
 	)

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"momosyn/internal/bench"
-	"momosyn/internal/ga"
 	"momosyn/internal/model"
 	"momosyn/internal/synth"
 )
@@ -46,14 +45,12 @@ func main() {
 	}
 	fmt.Printf(" on %s\n\n", sys.Arch.CLs[0].Name)
 
-	cfg := ga.Config{PopSize: 64, MaxGenerations: 300, Stagnation: 80}
 	cell := func(useDVS, neglect bool) (float64, time.Duration) {
 		sum, dur := 0.0, time.Duration(0)
 		for r := 0; r < *reps; r++ {
 			res, err := synth.Synthesize(sys, synth.Options{
 				UseDVS:               useDVS,
 				NeglectProbabilities: neglect,
-				GA:                   cfg,
 				Seed:                 int64(1 + r*7919),
 			})
 			if err != nil {
@@ -80,7 +77,7 @@ func main() {
 	}
 
 	// Show where the proposed DVS implementation spends its power.
-	res, err := synth.Synthesize(sys, synth.Options{UseDVS: true, GA: cfg, Seed: 1})
+	res, err := synth.Synthesize(sys, synth.Options{UseDVS: true, Seed: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

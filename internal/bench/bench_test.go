@@ -204,17 +204,25 @@ func TestCompareProducesRow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := Compare("fig2", sys, false, tinyCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.Name != "fig2" || row.Modes != 2 {
-		t.Errorf("row header wrong: %+v", row)
-	}
-	// With the reduced test GA the variants land at or near their optima;
-	// the reduction must stay in the vicinity of the paper's 41%.
-	if row.ReductionPct < 30 || row.ReductionPct > 45 {
-		t.Errorf("reduction = %.2f%%, want ~41%%", row.ReductionPct)
+	// At the ExampleSynthesize budget both variants reach their optima, so
+	// the reduction sits near the paper's 41% for every seed, not only for
+	// a lucky one.
+	for seed := int64(0); seed < 8; seed++ {
+		cfg := HarnessConfig{
+			Reps:     1,
+			BaseSeed: seed,
+			GA:       ga.Config{PopSize: 24, MaxGenerations: 80, Stagnation: 25},
+		}
+		row, err := Compare("fig2", sys, false, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if row.Name != "fig2" || row.Modes != 2 {
+			t.Errorf("row header wrong: %+v", row)
+		}
+		if row.ReductionPct < 30 || row.ReductionPct > 45 {
+			t.Errorf("seed %d: reduction = %.2f%%, want ~41%%", seed, row.ReductionPct)
+		}
 	}
 }
 
@@ -263,13 +271,14 @@ func TestHarnessDefaults(t *testing.T) {
 	if c.Reps != 5 {
 		t.Errorf("default reps = %d", c.Reps)
 	}
-	if c.GA.PopSize != 64 {
-		t.Errorf("default GA = %+v", c.GA)
+	// The harness passes the GA through untouched: fields left zero are
+	// resolved by the engine, the one place that owns the defaults.
+	if c.GA != (ga.Config{}) {
+		t.Errorf("default GA = %+v, want the zero config", c.GA)
 	}
-	// Explicit GA must be preserved.
-	c = HarnessConfig{GA: ga.Config{PopSize: 8, MaxGenerations: 10}}.withDefaults()
-	if c.GA.PopSize != 8 {
-		t.Error("explicit GA overwritten")
+	partial := ga.Config{Stagnation: 10}
+	if c = (HarnessConfig{GA: partial}).withDefaults(); c.GA != partial {
+		t.Errorf("partial GA rewritten to %+v", c.GA)
 	}
 }
 

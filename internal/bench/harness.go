@@ -37,8 +37,8 @@ type HarnessConfig struct {
 	Parallel int
 	// BaseSeed offsets the per-repetition seeds.
 	BaseSeed int64
-	// GA tunes the engine; the zero value selects the harness defaults
-	// (population 64, up to 300 generations, stagnation 80).
+	// GA tunes the engine; fields left zero take the engine defaults (the
+	// paper protocol, see ga.Config.ResolveBudget).
 	GA ga.Config
 	// Weights are the fitness penalty weights (zero = defaults).
 	Weights synth.Weights
@@ -78,18 +78,10 @@ func (c HarnessConfig) withDefaults() HarnessConfig {
 	if c.Parallel <= 0 {
 		c.Parallel = 1
 	}
-	if c.GA.PopSize == 0 && c.GA.MaxGenerations == 0 {
-		c.GA = DefaultGA()
-	}
 	if c.sem == nil {
 		c.sem = make(chan struct{}, c.Parallel)
 	}
 	return c
-}
-
-// DefaultGA returns the GA configuration used for the table experiments.
-func DefaultGA() ga.Config {
-	return ga.Config{PopSize: 64, MaxGenerations: 300, Stagnation: 80}
 }
 
 // CellStats aggregates the repetitions of one table cell (one instance, one

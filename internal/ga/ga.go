@@ -34,14 +34,15 @@ type Problem interface {
 type Mutator func(genome []int, rng *rand.Rand) bool
 
 // Config tunes the engine. Zero values select the defaults noted per
-// field.
+// field; the run budget (PopSize, MaxGenerations, Stagnation) defaults to
+// the paper protocol.
 type Config struct {
-	// PopSize is the population size (default 32).
+	// PopSize is the population size (default 64).
 	PopSize int
-	// MaxGenerations bounds the run (default 200).
+	// MaxGenerations bounds the run (default 300).
 	MaxGenerations int
 	// Stagnation stops the run after this many generations without
-	// improvement of the best individual (default 40), matching the paper's
+	// improvement of the best individual (default 80), matching the paper's
 	// convergence criterion of diversity plus elapsed iterations without an
 	// improved individual.
 	Stagnation int
@@ -69,16 +70,24 @@ type Config struct {
 	MinDiversity float64
 }
 
-func (c Config) withDefaults(genomeLen int) Config {
+// ResolveBudget returns c with only PopSize, MaxGenerations and Stagnation
+// defaulted. Run keys and checkpoint fingerprints use it so a zero budget and
+// the equal explicit one name the same run; the CLIs take flag defaults from it.
+func (c Config) ResolveBudget() Config {
 	if c.PopSize <= 0 {
-		c.PopSize = 32
+		c.PopSize = 64
 	}
 	if c.MaxGenerations <= 0 {
-		c.MaxGenerations = 200
+		c.MaxGenerations = 300
 	}
 	if c.Stagnation <= 0 {
-		c.Stagnation = 40
+		c.Stagnation = 80
 	}
+	return c
+}
+
+func (c Config) withDefaults(genomeLen int) Config {
+	c = c.ResolveBudget()
 	if c.Offspring <= 0 {
 		c.Offspring = c.PopSize / 2
 		if c.Offspring < 1 {

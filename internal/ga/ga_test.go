@@ -144,14 +144,17 @@ func (p boundsCheck) Fitness(g []int) float64 {
 
 func TestConfigDefaults(t *testing.T) {
 	c := Config{}.withDefaults(100)
-	if c.PopSize != 32 || c.MaxGenerations != 200 || c.Stagnation != 40 {
+	if c.PopSize != 64 || c.MaxGenerations != 300 || c.Stagnation != 80 {
 		t.Errorf("unexpected defaults: %+v", c)
 	}
 	if c.MutationRate != 0.01 {
 		t.Errorf("mutation rate = %v, want 1/genomeLen", c.MutationRate)
 	}
-	if c.Offspring != 16 {
+	if c.Offspring != 32 {
 		t.Errorf("offspring = %d, want PopSize/2", c.Offspring)
+	}
+	if b := (Config{Stagnation: 10}).ResolveBudget(); b.PopSize != 64 || b.MaxGenerations != 300 || b.Stagnation != 10 {
+		t.Errorf("a partial budget must keep its set field and resolve the rest: %+v", b)
 	}
 	c = Config{PopSize: 1}.withDefaults(0)
 	if c.Offspring != 1 {

@@ -87,7 +87,7 @@ type RunOptions struct {
 	Seed int64
 	// DVS enables voltage scaling during the measured syntheses.
 	DVS bool
-	// GA tunes the engine (zero value: the bench harness defaults).
+	// GA tunes the engine; fields left zero take the engine defaults.
 	GA ga.Config
 	// Context interrupts the measurement between repetitions.
 	Context context.Context
@@ -106,9 +106,6 @@ func (o RunOptions) withDefaults() RunOptions {
 	if o.Warmups < 0 {
 		o.Warmups = 0
 	}
-	if o.GA.PopSize == 0 && o.GA.MaxGenerations == 0 {
-		o.GA = bench.DefaultGA()
-	}
 	if o.Context == nil {
 		o.Context = context.Background()
 	}
@@ -122,12 +119,13 @@ func (o RunOptions) withDefaults() RunOptions {
 // breakdown lands in the artifact.
 func Run(specs []Spec, opt RunOptions) (*Artifact, error) {
 	opt = opt.withDefaults()
+	budget := opt.GA.ResolveBudget()
 	art := &Artifact{
 		Schema: Schema,
 		Env:    CurrentEnv(opt.Dir),
 		Config: RunConfig{
 			Reps: opt.Reps, Warmups: opt.Warmups, Seed: opt.Seed, DVS: opt.DVS,
-			PopSize: opt.GA.PopSize, MaxGens: opt.GA.MaxGenerations, Stagnation: opt.GA.Stagnation,
+			PopSize: budget.PopSize, MaxGens: budget.MaxGenerations, Stagnation: budget.Stagnation,
 		},
 	}
 	for _, sp := range specs {

@@ -13,7 +13,7 @@ import (
 // (spec, seed, options) — GA operator changes, evaluation-order changes,
 // fitness formula changes — and leave it alone for pure speedups that are
 // proven byte-identical.
-const EngineVersion = "momosyn-synth/1"
+const EngineVersion = "momosyn-synth/2"
 
 // CanonicalOptions renders the result-shaping subset of Options in a
 // canonical, versioned byte form for content-addressed keying. Two Options
@@ -23,8 +23,12 @@ const EngineVersion = "momosyn-synth/1"
 // changes the search trajectory, while every trajectory-shaping field —
 // including the seed and each GA parameter — is written out explicitly,
 // field by field, so adding a new Options field forces a conscious decision
-// here instead of silently keying (or not keying) on it.
+// here instead of silently keying (or not keying) on it. The weights and
+// the GA budget are written resolved, so leaving them zero and spelling
+// out their defaults key the same run.
 func CanonicalOptions(o Options) []byte {
+	o.Weights = o.Weights.orDefault()
+	o.GA = o.GA.ResolveBudget()
 	var b strings.Builder
 	b.WriteString("optv1\n")
 	writeBool(&b, "dvs", o.UseDVS)

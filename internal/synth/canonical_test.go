@@ -8,7 +8,7 @@ import (
 )
 
 // TestCanonicalOptions pins the keying contract: trajectory-shaping fields
-// move the canonical bytes, runtime plumbing does not.
+// move the canonical bytes, runtime plumbing and spelled-out defaults do not.
 func TestCanonicalOptions(t *testing.T) {
 	base := Options{Seed: 42, UseDVS: true, GA: ga.Config{PopSize: 32}}
 	want := string(CanonicalOptions(base))
@@ -24,6 +24,20 @@ func TestCanonicalOptions(t *testing.T) {
 	runtime.FaultBudget = 7
 	if got := string(CanonicalOptions(runtime)); got != want {
 		t.Fatalf("runtime plumbing changed the canonical options:\n--- want\n%s\n--- got\n%s", want, got)
+	}
+
+	// A field left zero keys the same as its spelled-out default: both run
+	// identically, so they must share one cache entry.
+	for name, spell := range map[string]func(*Options){
+		"weights":   func(o *Options) { o.Weights = DefaultWeights() },
+		"ga_budget": func(o *Options) { o.GA = ga.Config{PopSize: 64, MaxGenerations: 300, Stagnation: 80} },
+	} {
+		zero := Options{Seed: 42}
+		spelled := zero
+		spell(&spelled)
+		if a, b := string(CanonicalOptions(zero)), string(CanonicalOptions(spelled)); a != b {
+			t.Errorf("%s: zero and default key differently:\n--- zero\n%s\n--- default\n%s", name, a, b)
+		}
 	}
 
 	for name, mutate := range map[string]func(*Options){

@@ -9,6 +9,7 @@ import (
 	"momosyn/internal/energy"
 	"momosyn/internal/model"
 	"momosyn/internal/obs"
+	"momosyn/internal/runctl"
 	"momosyn/internal/sched"
 )
 
@@ -55,6 +56,14 @@ type Weights struct {
 // infeasible regions without flattening the power landscape.
 func DefaultWeights() Weights {
 	return Weights{Area: 0.5, Transition: 2, Timing: 20}
+}
+
+// orDefault resolves the zero Weights to DefaultWeights.
+func (w Weights) orDefault() Weights {
+	if w == (Weights{}) {
+		return DefaultWeights()
+	}
+	return w
 }
 
 // Evaluation is one fully evaluated implementation candidate: mapping, core
@@ -270,7 +279,7 @@ func (e *Evaluator) Evaluate(mapping model.Mapping) (*Evaluation, error) {
 		var err error
 		switch {
 		case e.RefineIterations > 0:
-			rng := rand.New(rand.NewSource(int64(mappingHash(mapping, m))))
+			rng := rand.New(runctl.NewSource(int64(mappingHash(mapping, m))))
 			if timed {
 				mark = time.Now()
 			}

@@ -8,6 +8,7 @@ import (
 
 	"momosyn/internal/ga"
 	"momosyn/internal/model"
+	"momosyn/internal/runctl"
 )
 
 // ParetoPoint is one non-dominated implementation of the power/area
@@ -128,10 +129,7 @@ func Pareto(sys *model.System, opts ParetoOptions) ([]ParetoPoint, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := opts.Weights
-	if w == (Weights{}) {
-		w = DefaultWeights()
-	}
+	w := opts.Weights.orDefault()
 	// Area violations must not be penalised: area is an objective here.
 	w.Area = 0
 	eval := &Evaluator{Sys: sys, UseDVS: opts.UseDVS, Weights: w}
@@ -144,7 +142,7 @@ func Pareto(sys *model.System, opts ParetoOptions) ([]ParetoPoint, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	res := ga.RunNSGA2(ctx, prob, opts.GA, rand.New(rand.NewSource(opts.Seed)), allSW, allHW)
+	res := ga.RunNSGA2(ctx, prob, opts.GA, rand.New(runctl.NewSource(opts.Seed)), allSW, allHW)
 
 	ub := PowerUpperBound(sys)
 	var out []ParetoPoint

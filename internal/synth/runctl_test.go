@@ -11,6 +11,7 @@ import (
 
 	"momosyn/internal/ga"
 	"momosyn/internal/model"
+	"momosyn/internal/runctl"
 )
 
 // widerSystem builds a single-mode system with a 12-locus genome (~4096
@@ -55,17 +56,16 @@ func runOpts(checkpoint string) Options {
 
 // TestResumeMatchesUninterrupted is the acceptance test of the
 // checkpoint/resume design: a run killed partway and resumed from its
-// checkpoint must converge to exactly the same final implementation as an
-// uninterrupted run with the same seed.
+// checkpoint must converge to exactly the same final implementation as a
+// plain uninterrupted run with the same seed.
 func TestResumeMatchesUninterrupted(t *testing.T) {
 	sys := widerSystem(t)
 	dir := t.TempDir()
 
-	// Reference: uninterrupted, but checkpointing (so it draws from the
-	// same serialisable random stream as the interrupted pair).
-	full := runOpts(filepath.Join(dir, "full.ckpt"))
-	full.CheckpointEvery = 3
-	ref, err := Synthesize(sys, full)
+	// Reference: a plain run, uninterrupted and never checkpointed. Every
+	// run draws from the same random stream, so checkpointing must not
+	// change the answer either.
+	ref, err := Synthesize(sys, runOpts(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,6 +284,47 @@ func TestResumeValidation(t *testing.T) {
 	o.CheckpointPath = ""
 	if _, err := Synthesize(sys, o); err == nil {
 		t.Error("Resume without CheckpointPath must fail")
+	}
+}
+
+// TestResumeRefusesOldDefaultBudget pins that the fingerprint names the GA
+// budget a run resolved to: a checkpoint of a zero-budget run written when
+// the fingerprint kept the raw zeros (and the engine defaulted to another
+// population size) is refused, while the same checkpoint fingerprinted with
+// the resolved budget resumes.
+func TestResumeRefusesOldDefaultBudget(t *testing.T) {
+	sys := testSystem(t)
+	path := filepath.Join(t.TempDir(), "z.ckpt")
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	opts := Options{Seed: 11, CheckpointPath: path, CheckpointEvery: 1, Context: ctx}
+	opts.evalHook = func([]int) { cancel() }
+	if _, err := Synthesize(sys, opts); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := runctl.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolved := fmt.Sprintf("ga=%+v", opts.GA.ResolveBudget())
+	if !strings.Contains(cp.Fingerprint, resolved) {
+		t.Fatalf("fingerprint %q does not name the resolved budget %q", cp.Fingerprint, resolved)
+	}
+	cp.Fingerprint = strings.Replace(cp.Fingerprint, resolved, fmt.Sprintf("ga=%+v", opts.GA), 1)
+	if err := runctl.Save(path, cp); err != nil {
+		t.Fatal(err)
+	}
+
+	resume := Options{Seed: 11, CheckpointPath: path, Resume: true}
+	if _, err := Synthesize(sys, resume); err == nil || !strings.Contains(err.Error(), "options") {
+		t.Fatalf("zero-budget checkpoint with a raw fingerprint resumed: err = %v", err)
+	}
+	cp.Fingerprint = resume.fingerprint()
+	if err := runctl.Save(path, cp); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Synthesize(sys, resume); err != nil {
+		t.Fatalf("checkpoint with the resolved fingerprint refused: %v", err)
 	}
 }
 

@@ -56,7 +56,8 @@ type Options struct {
 	// RefineIterations > 0 enables per-mode stochastic schedule refinement
 	// in the inner loop (slower, occasionally tighter schedules).
 	RefineIterations int
-	// GA tunes the genetic engine; zero values select engine defaults.
+	// GA tunes the genetic engine; zero values select the engine defaults
+	// (the paper protocol, see ga.Config.ResolveBudget).
 	GA ga.Config
 	// Seed seeds the run's RNG.
 	Seed int64
@@ -116,11 +117,13 @@ type Options struct {
 }
 
 // fingerprint pins the options that shape the search trajectory, so a
-// checkpoint refuses to resume under a different configuration.
+// checkpoint refuses to resume under a different configuration. It names
+// the resolved GA budget, so a checkpoint written under other engine
+// defaults is refused rather than resumed with another population size.
 func (o Options) fingerprint() string {
 	return fmt.Sprintf("dvs=%v neglect=%v swonly=%v norep=%v nomut=%v refine=%d ga=%+v w=%+v stall=%d",
 		o.UseDVS, o.NeglectProbabilities, o.DVSSoftwareOnly, o.NoReplicaCores,
-		o.NoImprovementMutations, o.RefineIterations, o.GA, o.Weights, o.StallWindow)
+		o.NoImprovementMutations, o.RefineIterations, o.GA.ResolveBudget(), o.Weights, o.StallWindow)
 }
 
 // Result is the outcome of one synthesis run.
@@ -229,34 +232,15 @@ func Synthesize(sys *model.System, opts Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := opts.Weights
-	if w == (Weights{}) {
-		w = DefaultWeights()
-	}
 	run := opts.Obs
-	eval := &Evaluator{
-		Sys: sys, UseDVS: opts.UseDVS, Weights: w,
-		DVSSoftwareOnly:  opts.DVSSoftwareOnly,
-		NoReplicaCores:   opts.NoReplicaCores,
-		RefineIterations: opts.RefineIterations,
-		Obs:              run,
-	}
-	if opts.NeglectProbabilities {
-		eval.Probs = UniformProbs(sys)
-	}
+	eval := newEvaluator(sys, opts)
+	eval.Obs = run
 	prob := &problem{codec: codec, eval: eval, cache: make(map[string]float64), hook: opts.evalHook}
 
-	// Checkpointable runs draw from a serialisable source so the stream
-	// position can be stored and restored exactly; plain runs keep the
-	// historical math/rand stream for bit-identical legacy behaviour.
-	var src *runctl.Source
-	var rng *rand.Rand
-	if opts.CheckpointPath != "" {
-		src = runctl.NewSource(opts.Seed)
-		rng = rand.New(src)
-	} else {
-		rng = rand.New(rand.NewSource(opts.Seed))
-	}
+	// Every run draws from the serialisable source, so a checkpointed run,
+	// its resumption and a plain run with the same seed share one stream.
+	src := runctl.NewSource(opts.Seed)
+	rng := rand.New(src)
 
 	parent := opts.Context
 	if parent == nil {
@@ -327,7 +311,7 @@ func Synthesize(sys *model.System, opts Options) (*Result, error) {
 		}
 	}
 	if run.Active() {
-		rc.OnGeneration = observeGenerations(run, sys, opts, w, codec, prob)
+		rc.OnGeneration = observeGenerations(run, sys, opts, codec, prob)
 	}
 	resumedFrom := 0
 	if rc.Resume != nil {
@@ -351,13 +335,9 @@ func Synthesize(sys *model.System, opts Options) (*Result, error) {
 	objective := best.AvgPower
 	if opts.NeglectProbabilities {
 		// Report the final candidate under the true usage profile.
-		trueEval := &Evaluator{
-			Sys: sys, UseDVS: opts.UseDVS, Weights: w,
-			DVSSoftwareOnly:  opts.DVSSoftwareOnly,
-			NoReplicaCores:   opts.NoReplicaCores,
-			RefineIterations: opts.RefineIterations,
-		}
-		best, err = safeEvaluate(trueEval, best.Mapping)
+		truth := opts
+		truth.NeglectProbabilities = false
+		best, err = safeEvaluate(newEvaluator(sys, truth), best.Mapping)
 		if err != nil {
 			return nil, err
 		}
@@ -406,16 +386,8 @@ func Synthesize(sys *model.System, opts Options) (*Result, error) {
 // quiet re-evaluation (memoised on the best genome) outside the engine's
 // random stream and instrumentation, so observation perturbs neither the
 // search nor the phase statistics.
-func observeGenerations(run *obs.Run, sys *model.System, opts Options, w Weights, codec *Codec, prob *problem) func(ga.GenerationStats) {
-	quiet := &Evaluator{
-		Sys: sys, UseDVS: opts.UseDVS, Weights: w,
-		DVSSoftwareOnly:  opts.DVSSoftwareOnly,
-		NoReplicaCores:   opts.NoReplicaCores,
-		RefineIterations: opts.RefineIterations,
-	}
-	if opts.NeglectProbabilities {
-		quiet.Probs = UniformProbs(sys)
-	}
+func observeGenerations(run *obs.Run, sys *model.System, opts Options, codec *Codec, prob *problem) func(ga.GenerationStats) {
+	quiet := newEvaluator(sys, opts)
 	reg := run.Registry()
 	var lastKey string
 	var lastEv *Evaluation
@@ -466,6 +438,23 @@ func observeGenerations(run *obs.Run, sys *model.System, opts Options, w Weights
 		}
 		run.EmitGeneration(ev)
 	}
+}
+
+// newEvaluator builds an uninstrumented evaluator for the run opts
+// describes: resolved weights, the ablation switches, and the uniform mode
+// distribution when the optimisation neglects probabilities. Every
+// evaluator of a run is built here, so none can miss an Options field.
+func newEvaluator(sys *model.System, opts Options) *Evaluator {
+	e := &Evaluator{
+		Sys: sys, UseDVS: opts.UseDVS, Weights: opts.Weights.orDefault(),
+		DVSSoftwareOnly:  opts.DVSSoftwareOnly,
+		NoReplicaCores:   opts.NoReplicaCores,
+		RefineIterations: opts.RefineIterations,
+	}
+	if opts.NeglectProbabilities {
+		e.Probs = UniformProbs(sys)
+	}
+	return e
 }
 
 // checkResumable verifies a checkpoint belongs to this (spec, seed,

@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"os"
 	"os/exec"
@@ -219,5 +220,79 @@ func TestServedEndToEnd(t *testing.T) {
 	}
 	if ckpts, _ := filepath.Glob(filepath.Join(dataDir, "jobs", "*", "job.e*.ckpt")); len(ckpts) != 1 {
 		t.Fatalf("found %d checkpoints, want 1 (the interrupted job's)", len(ckpts))
+	}
+}
+
+// TestOneAnswerEveryFrontEnd pins that a run is named by its spec, seed
+// and options alone: mul1 at seed 1 with the default GA budget gives the
+// same p̄, bit for bit, through plain mmsynth, checkpointed mmsynth and an
+// mmserved job that sets no GA parameters.
+func TestOneAnswerEveryFrontEnd(t *testing.T) {
+	if testing.Short() {
+		t.Skip("front-end agreement test skipped in -short mode")
+	}
+	bin := buildTools(t)
+	work := t.TempDir()
+	spec := filepath.Join("specs", "mul1.spec")
+
+	// mmsynth prints p̄ rounded; its run trace carries the exact value.
+	synthPower := func(name string, extra ...string) float64 {
+		trace := filepath.Join(work, name+".jsonl")
+		run(t, bin, "mmsynth", append([]string{"-spec", spec, "-seed", "1", "-trace", trace}, extra...)...)
+		data, err := os.ReadFile(trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+		var end struct {
+			Ev  string `json:"ev"`
+			End struct {
+				AvgPower float64 `json:"avg_power"`
+			} `json:"end"`
+		}
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &end); err != nil || end.Ev != "run_end" {
+			t.Fatalf("%s: last trace line is not a run_end event (%v): %s", name, err, lines[len(lines)-1])
+		}
+		return end.End.AvgPower
+	}
+	plain := synthPower("plain")
+	checkpointed := synthPower("checkpointed", "-checkpoint", filepath.Join(work, "run.ckpt"))
+
+	cmd, base := startServed(t, bin, filepath.Join(work, "data"), "-specs", "specs", "-workers", "1")
+	client := servedClient(t, base)
+	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+	defer cancel()
+	sub, err := client.Submit(ctx, serve.JobRequest{SpecName: "mul1", Seed: 1})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	final, err := client.WaitTerminal(ctx, sub.ID, 50*time.Millisecond)
+	if err != nil {
+		t.Fatalf("wait: %v", err)
+	}
+	if final.State != serve.StateDone {
+		t.Fatalf("job ended %s (%s), want done", final.State, final.Error)
+	}
+	raw, err := client.Result(ctx, sub.ID)
+	if err != nil {
+		t.Fatalf("result: %v", err)
+	}
+	var res struct {
+		AvgPower float64 `json:"avg_power"`
+	}
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatalf("result decode: %v", err)
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Wait(); err != nil {
+		t.Errorf("mmserved exited non-zero after SIGTERM: %v", err)
+	}
+
+	if plain <= 0 || math.Float64bits(checkpointed) != math.Float64bits(plain) ||
+		math.Float64bits(res.AvgPower) != math.Float64bits(plain) {
+		t.Fatalf("p̄ differs across front ends: mmsynth %v, mmsynth -checkpoint %v, mmserved %v",
+			plain, checkpointed, res.AvgPower)
 	}
 }
